@@ -402,7 +402,7 @@ func TestCLIMetrics(t *testing.T) {
 		t.Fatalf("pdbmerge -metrics: %v\n%s", err, stderr)
 	}
 	snap := metricsSnapshot(t, "pdbmerge", stderr)
-	wantSpans(t, "pdbmerge", snap, "load", "read", "split", "parse", "merge", "level-1", "write")
+	wantSpans(t, "pdbmerge", snap, "load", "read", "split", "parse", "merge", "write")
 	if sp := snap.Find("load"); sp.Items != 3 {
 		t.Errorf("load span items = %d, want 3 files", sp.Items)
 	}
@@ -424,10 +424,8 @@ func TestCLIMetrics(t *testing.T) {
 				p.Name, p.Workers, busy, p.Utilization)
 		}
 	}
-	for _, want := range []string{"load", "merge"} {
-		if !poolNames[want] {
-			t.Errorf("no %q worker pool in %v", want, poolNames)
-		}
+	if !poolNames["load"] {
+		t.Errorf("no \"load\" worker pool in %v", poolNames)
 	}
 	// Instrumentation must not change the merged result.
 	plain, err1 := os.ReadFile(plainOut)
@@ -687,9 +685,9 @@ func TestCLIResilientIngestion(t *testing.T) {
 }
 
 // TestCLICrashConsistentMerge drives the crash-consistency surface of
-// pdbmerge end to end: checkpointed merge, resume with reuse visible
-// in -metrics, flag validation, and the output/journal locks with
-// their distinct exit code.
+// pdbmerge end to end: the durable write visible in -metrics, output
+// identical to the stdout merge, and the output lock with its distinct
+// exit code.
 func TestCLICrashConsistentMerge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test")
@@ -705,53 +703,31 @@ func TestCLICrashConsistentMerge(t *testing.T) {
 		}
 		inputs = append(inputs, p)
 	}
-	ck := filepath.Join(tmp, "ck")
 
-	// A checkpointed merge journals one entry per reduction unit.
+	// -o goes through the durable path; its cost is its own span.
 	out1 := filepath.Join(tmp, "out1.pdb")
-	if _, stderr, err := runTool(t, "pdbmerge",
-		append([]string{"-checkpoint-dir", ck, "-o", out1}, inputs...)...); err != nil {
-		t.Fatalf("pdbmerge -checkpoint-dir: %v\n%s", err, stderr)
-	}
-	ckpts, err := filepath.Glob(filepath.Join(ck, "*.ckpt"))
-	if err != nil || len(ckpts) != 3 {
-		t.Fatalf("journal entries = %v (%v), want 3 for 4 inputs", ckpts, err)
-	}
-
-	// Resume: byte-identical output, and the reuse is observable in
-	// the -metrics snapshot (the PR's acceptance signal).
-	out2 := filepath.Join(tmp, "out2.pdb")
 	_, stderr, err := runTool(t, "pdbmerge",
-		append([]string{"-checkpoint-dir", ck, "-resume", "-metrics", "-", "-o", out2}, inputs...)...)
+		append([]string{"-metrics", "-", "-o", out1}, inputs...)...)
 	if err != nil {
-		t.Fatalf("pdbmerge -resume: %v\n%s", err, stderr)
+		t.Fatalf("pdbmerge -o: %v\n%s", err, stderr)
 	}
 	snap := metricsSnapshot(t, "pdbmerge", stderr)
-	if got := snap.Counters["checkpoint.reused"]; got != 3 {
-		t.Errorf("checkpoint.reused = %d, want 3", got)
-	}
-	if got := snap.Counters["checkpoint.written"]; got != 0 {
-		t.Errorf("checkpoint.written = %d on a full resume, want 0", got)
-	}
 	wantSpans(t, "pdbmerge", snap, "write", "durable")
-	a, err1 := os.ReadFile(out1)
-	b, err2 := os.ReadFile(out2)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("reading outputs: %v / %v", err1, err2)
+	stdout, stderr, err := runTool(t, "pdbmerge", inputs...)
+	if err != nil {
+		t.Fatalf("pdbmerge to stdout: %v\n%s", err, stderr)
 	}
-	if string(a) != string(b) {
-		t.Error("resumed merge differs from the original run")
+	a, err := os.ReadFile(out1)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// -resume without -checkpoint-dir is a usage error.
-	var ee *exec.ExitError
-	if _, _, err := runTool(t, "pdbmerge",
-		append([]string{"-resume", "-o", filepath.Join(tmp, "x.pdb")}, inputs...)...); !errors.As(err, &ee) || ee.ExitCode() != 3 {
-		t.Fatalf("pdbmerge -resume without -checkpoint-dir: err = %v, want exit 3", err)
+	if string(a) != stdout {
+		t.Error("durable -o output differs from the stdout merge")
 	}
 
 	// While another process holds the output lock, a second pdbmerge
 	// must fail fast with the dedicated exit code, touching nothing.
+	var ee *exec.ExitError
 	out3 := filepath.Join(tmp, "out3.pdb")
 	lock, err := durable.AcquireLock(out3 + ".lock")
 	if err != nil {
@@ -767,17 +743,5 @@ func TestCLICrashConsistentMerge(t *testing.T) {
 	}
 	if _, err := os.Lstat(out3); !os.IsNotExist(err) {
 		t.Error("locked-out run still produced output")
-	}
-
-	// The checkpoint journal is guarded the same way.
-	jlock, err := durable.AcquireLock(ck + ".lock")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jlock.Release()
-	_, _, err = runTool(t, "pdbmerge",
-		append([]string{"-checkpoint-dir", ck, "-o", filepath.Join(tmp, "out4.pdb")}, inputs...)...)
-	if !errors.As(err, &ee) || ee.ExitCode() != 5 {
-		t.Fatalf("pdbmerge under held journal lock: err = %v, want exit 5", err)
 	}
 }

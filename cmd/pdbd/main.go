@@ -9,7 +9,7 @@
 //
 //	pdbd [-addr :7245] [-cache-dir dir] [-mem-entries N] [-html-src]
 //	     [-j N] [-strict] [-lenient] [-quarantine dir] [-retry N]
-//	     [-checkpoint-dir dir] [-resume] [-metrics file|-] [-trace]
+//	     [-metrics file|-] [-trace]
 //	     file.pdb [file.pdb ...]
 //
 // Endpoints (all JSON errors, schema_version-stamped):
@@ -61,7 +61,7 @@ func main() {
 	cacheDir := t.Flags.String("cache-dir", "", "disk cache directory for responses and lint findings (default: memory-only)")
 	memEntries := t.Flags.Int("mem-entries", 0, "in-memory response cache capacity in entries (0 = 4096)")
 	htmlSrc := t.Flags.Bool("html-src", false, "include source listings in /v1/html pages")
-	cf := t.CorpusFlags().WithStrict().WithCheckpoint()
+	cf := t.CorpusFlags().WithStrict()
 	t.ObsFlags()
 	t.Parse(os.Args[1:], 1, -1)
 

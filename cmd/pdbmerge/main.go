@@ -1,31 +1,17 @@
 // pdbmerge merges PDB files from separate compilations into one PDB
 // file, eliminating duplicate template instantiations in the process
-// (Table 2). Inputs are loaded concurrently and merged with a balanced
-// tree reduction; the result is identical to a sequential
-// left-to-right merge.
+// (Table 2). Inputs are loaded concurrently and merged with one linear
+// left-to-right fold.
 //
 // Output is crash-consistent: the merged database is staged, fsynced,
 // and atomically renamed over -o, so a killed run never leaves a torn
-// file. With -checkpoint-dir every completed tree-reduction unit is
-// journaled, and -resume makes a restarted run reuse the journal —
-// byte-identical to an uninterrupted merge. A flock-based lock file
-// next to -o keeps two concurrent runs from interleaving (the second
-// exits 5 immediately).
-//
-// With -shards N the merge is partitioned across N supervised worker
-// processes (internal/shardmerge): each worker produces a checkpointed
-// partial database under the shared journal, a SIGKILLed or wedged
-// worker has its shard reassigned to a fresh peer that resumes from
-// the dead worker's checkpoints, and repeated failures degrade to the
-// in-process merge — the output stays byte-identical to a
-// single-process run in every case.
+// file. A flock-based lock file next to -o keeps two concurrent runs
+// from interleaving (the second exits 5 immediately).
 //
 // Usage:
 //
 //	pdbmerge [-o out.pdb] [-format ascii|binary] [-j N] [-strict]
 //	         [-lenient] [-quarantine dir] [-retry N]
-//	         [-checkpoint-dir dir] [-resume]
-//	         [-shards N] [-shard-heartbeat dur]
 //	         [-metrics file|-] [-trace] a.pdb b.pdb ...
 //
 // Exit codes: 0 success, 3 usage or I/O failure, 4 completed but
@@ -43,51 +29,30 @@ import (
 
 	"pdt/internal/cliutil"
 	"pdt/internal/durable"
-	"pdt/internal/obs"
 	"pdt/internal/pdbio"
-	"pdt/internal/shardmerge"
 )
 
 func main() {
-	t := cliutil.New("pdbmerge", "pdbmerge [-o out.pdb] [-format ascii|binary] [-j N] [-strict] [-lenient] [-quarantine dir] [-retry N] [-checkpoint-dir dir] [-resume] [-shards N] [-shard-heartbeat dur] [-metrics file|-] [-trace] a.pdb b.pdb ...")
+	t := cliutil.New("pdbmerge", "pdbmerge [-o out.pdb] [-format ascii|binary] [-j N] [-strict] [-lenient] [-quarantine dir] [-retry N] [-metrics file|-] [-trace] a.pdb b.pdb ...")
 	out := t.OutFlag()
 	workers := t.WorkersFlag()
 	strict := t.Flags.Bool("strict", false,
 		"validate the referential integrity of every input database")
 	format := t.Flags.String("format", "ascii",
 		"output encoding: ascii or binary (inputs are auto-detected)")
-	ckptDir := t.Flags.String("checkpoint-dir", "",
-		"journal every completed merge unit into this directory (crash-safe, content-addressed)")
-	resume := t.Flags.Bool("resume", false,
-		"with -checkpoint-dir, reuse journaled units from an interrupted run instead of recomputing them")
 	res := t.ResilienceFlags()
-	shard := t.ShardFlagsGroup()
 	t.ObsFlags()
-	t.Parse(os.Args[1:], 0, -1)
+	t.Parse(os.Args[1:], 1, -1)
 
-	// Worker dispatch comes before everything else — locks, corpus
-	// validation — because a shard worker answers only to its manifest
-	// and its coordinator (which already holds the run's locks).
-	if m := shard.WorkerManifest(); m != "" {
-		t.Exit(shardmerge.WorkerMain(m, t.Stderr))
-		return
-	}
-	if t.Flags.NArg() < 1 {
-		t.Usage()
-		return
-	}
-	if *resume && *ckptDir == "" {
-		t.Fatalf("-resume requires -checkpoint-dir")
-	}
 	if *format != "ascii" && *format != "binary" {
 		t.Fatalf("invalid -format=%s (want ascii or binary)", *format)
 	}
 
-	// One writer at a time: an flock next to the output (and on the
-	// checkpoint journal) makes a second concurrent pdbmerge fail fast
-	// with a distinct exit code instead of interleaving writes.
-	for _, lockPath := range lockPaths(*out, *ckptDir) {
-		lock, err := durable.AcquireLock(lockPath)
+	// One writer at a time: an flock next to the output makes a second
+	// concurrent pdbmerge fail fast with a distinct exit code instead
+	// of interleaving writes.
+	if *out != "" {
+		lock, err := durable.AcquireLock(*out + ".lock")
 		if err != nil {
 			if errors.Is(err, durable.ErrLocked) {
 				fmt.Fprintf(t.Stderr, "pdbmerge: %v (another pdbmerge is writing here; retry when it exits)\n", err)
@@ -103,25 +68,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if shard.Enabled() {
-		err := runSharded(ctx, t, shard, *out, *ckptDir, *resume, *workers, *format, *strict, res)
-		if err != nil {
-			t.Fatalf("%v", err)
-		}
-		t.FlushObs()
-		t.Exit(res.Exit(cliutil.ExitOK))
-		return
-	}
-
 	opts := []pdbio.Option{pdbio.WithWorkers(*workers), pdbio.WithMetrics(t.Obs())}
 	if *format == "binary" {
 		opts = append(opts, pdbio.WithFormat(pdbio.FormatBinary))
 	}
 	if *strict {
 		opts = append(opts, pdbio.WithStrictValidation())
-	}
-	if *ckptDir != "" {
-		opts = append(opts, pdbio.WithCheckpoint(*ckptDir, *resume))
 	}
 	opts = append(opts, res.Options()...)
 
@@ -140,83 +92,4 @@ func main() {
 	}
 	t.FlushObs()
 	t.Exit(res.Exit(cliutil.ExitOK))
-}
-
-// runSharded drives the multi-process merge: the coordinator re-execs
-// this binary once per shard (-worker-shard), supervises the workers'
-// lease heartbeats, reassigns the shards of dead or wedged workers,
-// and k-way merges the partials. The shard state lives in the
-// -checkpoint-dir when given (making the whole run resumable with
-// -resume), else in a throwaway temp directory.
-func runSharded(ctx context.Context, t *cliutil.Tool, shard *cliutil.ShardFlags,
-	out, ckptDir string, resume bool, workers int, format string,
-	strict bool, res *cliutil.Resilience) error {
-	dir := ckptDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "pdbmerge-shards-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("resolving worker binary: %w", err)
-	}
-	metrics := t.Obs()
-	if metrics == nil {
-		// The sharded path always needs a registry: recoveries inside
-		// worker processes only travel back as counters.
-		metrics = obs.New(t.Name)
-	}
-	o := shardmerge.Options{
-		Shards:       shard.Shards(),
-		Dir:          dir,
-		Resume:       resume,
-		Heartbeat:    shard.Heartbeat(),
-		MergeWorkers: workers,
-		WorkerArgv:   []string{exe, "-worker-shard"},
-		WorkerStderr: t.Stderr,
-		Strict:       strict,
-		Lenient:      res.Lenient(),
-		Quarantine:   res.Quarantine(),
-		Retries:      res.Retries(),
-		RetryBackoff: res.RetryBackoff(),
-		Metrics:      metrics,
-	}
-	if format == "binary" {
-		o.Format = pdbio.FormatBinary
-	}
-	if out != "" {
-		err = shardmerge.MergeToFile(ctx, out, t.Flags.Args(), o)
-	} else {
-		err = t.WithOutput("", func(w io.Writer) error {
-			return shardmerge.MergeFiles(ctx, w, t.Flags.Args(), o)
-		})
-	}
-	if err != nil {
-		return err
-	}
-	// Worker-side lenient recoveries come back as the shard.recovered
-	// counter; fold them into the shared stats so the exit code reports
-	// "completed with recoveries" exactly like a single-process run.
-	if n := metrics.Snapshot().Counters["shard.recovered"]; n > 0 {
-		res.Stats().Recovered.Add(n)
-	}
-	return nil
-}
-
-// lockPaths lists the lock files a run must hold: one guarding the
-// output file, one guarding the checkpoint journal. Stdout output
-// needs no lock.
-func lockPaths(out, ckptDir string) []string {
-	var paths []string
-	if out != "" {
-		paths = append(paths, out+".lock")
-	}
-	if ckptDir != "" {
-		paths = append(paths, ckptDir+".lock")
-	}
-	return paths
 }

@@ -252,15 +252,6 @@ func (t *Tool) ResilienceFlags() *Resilience {
 // Lenient reports whether -lenient was given. Call after Parse.
 func (r *Resilience) Lenient() bool { return *r.lenient }
 
-// Quarantine returns the -quarantine directory ("" = disabled).
-func (r *Resilience) Quarantine() string { return *r.quarantine }
-
-// Retries returns the -retry attempt budget.
-func (r *Resilience) Retries() int { return *r.retries }
-
-// RetryBackoff returns the -retry-backoff initial sleep.
-func (r *Resilience) RetryBackoff() time.Duration { return *r.backoff }
-
 // Stats exposes the resilience counters the loads accumulate.
 func (r *Resilience) Stats() *pdbio.Stats { return &r.stats }
 
@@ -338,8 +329,6 @@ type CorpusFlags struct {
 	tool    *Tool
 	workers *int
 	strict  *bool
-	ckpt    *string
-	resume  *bool
 	res     *Resilience
 }
 
@@ -362,16 +351,6 @@ func (c *CorpusFlags) WithStrict() *CorpusFlags {
 	return c
 }
 
-// WithCheckpoint additionally registers -checkpoint-dir and -resume
-// (merge journal reuse) for tools that expose them.
-func (c *CorpusFlags) WithCheckpoint() *CorpusFlags {
-	c.ckpt = c.tool.Flags.String("checkpoint-dir", "",
-		"journal every completed merge unit into this directory (crash-safe, content-addressed)")
-	c.resume = c.tool.Flags.Bool("resume", false,
-		"with -checkpoint-dir, reuse journaled units from an interrupted run instead of recomputing them")
-	return c
-}
-
 // Options translates the parsed flags into a corpus.Options, wiring in
 // the tool's metrics registry and the shared resilience stats. Call
 // after Parse.
@@ -383,10 +362,6 @@ func (c *CorpusFlags) Options() corpus.Options {
 	}
 	if c.strict != nil {
 		o.Strict = *c.strict
-	}
-	if c.ckpt != nil {
-		o.CheckpointDir = *c.ckpt
-		o.Resume = *c.resume
 	}
 	if *c.res.lenient {
 		o.Lenient = true
@@ -403,45 +378,6 @@ func (c *CorpusFlags) Options() corpus.Options {
 
 // Resilience exposes the embedded resilience flag group (for Exit).
 func (c *CorpusFlags) Resilience() *Resilience { return c.res }
-
-// ShardFlags carries the distributed-merge flag group: -shards selects
-// the number of supervised worker processes the merge is partitioned
-// across, -shard-heartbeat tunes the worker lease refresh interval
-// (a worker silent for four heartbeats is declared wedged, killed, and
-// its shard reassigned), and -worker-shard is the internal re-exec
-// entry point the coordinator spawns workers through.
-type ShardFlags struct {
-	shards    *int
-	heartbeat *time.Duration
-	worker    *string
-}
-
-// ShardFlagsGroup registers the distributed-merge flags on the tool.
-func (t *Tool) ShardFlagsGroup() *ShardFlags {
-	s := &ShardFlags{}
-	s.shards = t.Flags.Int("shards", 0,
-		"partition the merge across this many supervised worker processes (0 = single-process)")
-	s.heartbeat = t.Flags.Duration("shard-heartbeat", time.Second,
-		"worker lease heartbeat interval; a worker silent for 4 heartbeats is killed and its shard reassigned")
-	s.worker = t.Flags.String("worker-shard", "",
-		"internal: run as a shard worker over this manifest file")
-	return s
-}
-
-// Enabled reports whether -shards selected multi-process mode. Call
-// after Parse.
-func (s *ShardFlags) Enabled() bool { return *s.shards > 0 }
-
-// Shards returns the -shards value.
-func (s *ShardFlags) Shards() int { return *s.shards }
-
-// Heartbeat returns the -shard-heartbeat interval.
-func (s *ShardFlags) Heartbeat() time.Duration { return *s.heartbeat }
-
-// WorkerManifest returns the -worker-shard manifest path; non-empty
-// means this process was spawned as a shard worker and must run
-// shardmerge.WorkerMain instead of a normal invocation.
-func (s *ShardFlags) WorkerManifest() string { return *s.worker }
 
 // Exit folds the recovery status into the tool's exit code, as
 // Resilience.Exit does.

@@ -1,10 +1,9 @@
 // Package cmap provides a sharded concurrent map: the key space is
 // split across a fixed power-of-two number of independently locked
 // shards, so readers and writers only contend when their keys hash to
-// the same shard. It replaces the global maps of internal/ductape —
-// the per-PDB ID indices and the merge dedup-key tables — where one
-// RWMutex (or one unguarded map) would serialize every core touching
-// the database.
+// the same shard. It backs the live profile aggregate of
+// internal/taustream, where many concurrent ingest requests update
+// shared timer and edge tables and one RWMutex would serialize them.
 //
 // The design follows the src/cmap shape of the please build system:
 // fixed shard array, per-shard RWMutex + map, a cheap hash to pick the

@@ -32,14 +32,12 @@ import (
 // to exactly one shared CLI flag (noted per field) and one pdbd config
 // knob.
 type Options struct {
-	Workers       int           // -j / -workers
-	Strict        bool          // -strict (referential integrity validation)
-	Lenient       bool          // -lenient
-	Quarantine    string        // -quarantine
-	Retries       int           // -retry
-	RetryBackoff  time.Duration // -retry-backoff
-	CheckpointDir string        // -checkpoint-dir (merge journal reuse)
-	Resume        bool          // -resume
+	Workers      int           // -j / -workers
+	Strict       bool          // -strict (referential integrity validation)
+	Lenient      bool          // -lenient
+	Quarantine   string        // -quarantine
+	Retries      int           // -retry
+	RetryBackoff time.Duration // -retry-backoff
 
 	// Metrics receives stage spans and counters for the load and every
 	// later derived-view build. Nil disables instrumentation.
@@ -67,9 +65,6 @@ func (o Options) pdbioOptions() []pdbio.Option {
 	if o.Retries > 0 {
 		opts = append(opts, pdbio.WithRetry(o.Retries, o.RetryBackoff))
 	}
-	if o.CheckpointDir != "" {
-		opts = append(opts, pdbio.WithCheckpoint(o.CheckpointDir, o.Resume))
-	}
 	if o.Stats != nil {
 		opts = append(opts, pdbio.WithStats(o.Stats))
 	}
@@ -95,9 +90,8 @@ type Corpus struct {
 }
 
 // Open loads the databases at paths and merges them into one Corpus.
-// A single path is a plain load; several paths run the pdbio tree
-// merge (reusing the CheckpointDir journal when configured), so the
-// result is byte-identical to pdbmerge over the same inputs.
+// A single path is a plain load; several paths run the pdbio merge, so
+// the result is byte-identical to pdbmerge over the same inputs.
 func Open(ctx context.Context, paths []string, opts Options) (*Corpus, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("corpus: no input paths")

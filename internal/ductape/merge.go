@@ -3,7 +3,6 @@ package ductape
 import (
 	"fmt"
 
-	"pdt/internal/cmap"
 	"pdt/internal/pdb"
 )
 
@@ -31,22 +30,17 @@ type merger struct {
 	nextFile, nextType, nextTemplate          int
 	nextClass, nextRoutine, nextNS, nextMacro int
 
-	fileKeys     *cmap.Map[string, int]
-	typeKeys     *cmap.Map[string, int]
-	templateKeys *cmap.Map[string, int]
-	classKeys    *cmap.Map[string, int]
-	routineKeys  *cmap.Map[string, int]
-	nsKeys       *cmap.Map[string, int]
-	macroKeys    *cmap.Map[string, int]
+	fileKeys, typeKeys, templateKeys, classKeys map[string]int
+	routineKeys, nsKeys, macroKeys              map[string]int
 }
 
 func newMerger() *merger {
 	return &merger{
 		out:      &pdb.PDB{},
-		fileKeys: cmap.NewString[int](), typeKeys: cmap.NewString[int](),
-		templateKeys: cmap.NewString[int](), classKeys: cmap.NewString[int](),
-		routineKeys: cmap.NewString[int](), nsKeys: cmap.NewString[int](),
-		macroKeys: cmap.NewString[int](),
+		fileKeys: map[string]int{}, typeKeys: map[string]int{},
+		templateKeys: map[string]int{}, classKeys: map[string]int{},
+		routineKeys: map[string]int{}, nsKeys: map[string]int{},
+		macroKeys: map[string]int{},
 	}
 }
 
@@ -57,18 +51,19 @@ type idMap struct {
 
 func (m *merger) add(db *PDB) {
 	ids := idMap{
-		file: map[int]int{}, typ: map[int]int{}, template: map[int]int{},
-		class: map[int]int{}, routine: map[int]int{}, ns: map[int]int{},
+		file: make(map[int]int, len(db.files)), typ: make(map[int]int, len(db.types)),
+		template: make(map[int]int, len(db.templates)), class: make(map[int]int, len(db.classes)),
+		routine: make(map[int]int, len(db.routines)), ns: make(map[int]int, len(db.namespaces)),
 	}
 
 	// Pass 1: assign merged IDs for every item (matching or fresh).
 	for _, f := range db.files {
 		key := f.Name()
-		id, ok := m.fileKeys.Get(key)
+		id, ok := m.fileKeys[key]
 		if !ok {
 			m.nextFile++
 			id = m.nextFile
-			m.fileKeys.Set(key, id)
+			m.fileKeys[key] = id
 			m.out.Files = append(m.out.Files, &pdb.SourceFile{
 				ID: id, Name: f.raw.Name, System: f.raw.System})
 		}
@@ -76,11 +71,11 @@ func (m *merger) add(db *PDB) {
 	}
 	for _, t := range db.types {
 		key := t.raw.Kind + "|" + t.Name()
-		id, ok := m.typeKeys.Get(key)
+		id, ok := m.typeKeys[key]
 		if !ok {
 			m.nextType++
 			id = m.nextType
-			m.typeKeys.Set(key, id)
+			m.typeKeys[key] = id
 			cp := *t.raw
 			cp.ID = id
 			m.out.Types = append(m.out.Types, &cp)
@@ -89,11 +84,11 @@ func (m *merger) add(db *PDB) {
 	}
 	for _, n := range db.namespaces {
 		key := namespaceFullName(n)
-		id, ok := m.nsKeys.Get(key)
+		id, ok := m.nsKeys[key]
 		if !ok {
 			m.nextNS++
 			id = m.nextNS
-			m.nsKeys.Set(key, id)
+			m.nsKeys[key] = id
 			cp := *n.raw
 			cp.ID = id
 			m.out.Namespaces = append(m.out.Namespaces, &cp)
@@ -102,11 +97,11 @@ func (m *merger) add(db *PDB) {
 	}
 	for _, t := range db.templates {
 		key := fmt.Sprintf("%s|%s|%s", t.raw.Kind, t.Name(), t.Location())
-		id, ok := m.templateKeys.Get(key)
+		id, ok := m.templateKeys[key]
 		if !ok {
 			m.nextTemplate++
 			id = m.nextTemplate
-			m.templateKeys.Set(key, id)
+			m.templateKeys[key] = id
 			cp := *t.raw
 			cp.ID = id
 			m.out.Templates = append(m.out.Templates, &cp)
@@ -115,11 +110,11 @@ func (m *merger) add(db *PDB) {
 	}
 	for _, c := range db.classes {
 		key := c.FullName()
-		id, ok := m.classKeys.Get(key)
+		id, ok := m.classKeys[key]
 		if !ok {
 			m.nextClass++
 			id = m.nextClass
-			m.classKeys.Set(key, id)
+			m.classKeys[key] = id
 			cp := *c.raw
 			cp.ID = id
 			m.out.Classes = append(m.out.Classes, &cp)
@@ -128,11 +123,11 @@ func (m *merger) add(db *PDB) {
 	}
 	for _, r := range db.routines {
 		key := routineKey(r)
-		id, ok := m.routineKeys.Get(key)
+		id, ok := m.routineKeys[key]
 		if !ok {
 			m.nextRoutine++
 			id = m.nextRoutine
-			m.routineKeys.Set(key, id)
+			m.routineKeys[key] = id
 			cp := *r.raw
 			cp.ID = id
 			m.out.Routines = append(m.out.Routines, &cp)
@@ -141,9 +136,9 @@ func (m *merger) add(db *PDB) {
 	}
 	for _, mc := range db.Macros() {
 		key := fmt.Sprintf("%s|%s|%s", mc.Kind(), mc.Name(), mc.Location())
-		if _, ok := m.macroKeys.Get(key); !ok {
+		if _, ok := m.macroKeys[key]; !ok {
 			m.nextMacro++
-			m.macroKeys.Set(key, m.nextMacro)
+			m.macroKeys[key] = m.nextMacro
 			cp := *mc.raw
 			cp.ID = m.nextMacro
 			// Remap the location here (macros have no pass-2 rewrite):
@@ -196,6 +191,9 @@ func remapLocFiles(l pdb.Loc, files map[int]int) pdb.Loc {
 	return pdb.Loc{File: remapRef(l.File, files), Line: l.Line, Col: l.Col}
 }
 
+// rewriteRefs resolves each copied item by indexing the output slice
+// directly: merged IDs are dense, start at 1, and are assigned in
+// append order, so the item with merged ID id sits at index id-1.
 func (m *merger) rewriteRefs(db *PDB, ids idMap) {
 	remapLoc := func(l pdb.Loc) pdb.Loc { return remapLocFiles(l, ids.file) }
 	remapPos := func(p pdb.Pos) pdb.Pos {
@@ -206,7 +204,7 @@ func (m *merger) rewriteRefs(db *PDB, ids idMap) {
 	}
 
 	for _, f := range db.files {
-		dst := m.out.FileByID(ids.file[f.ID()])
+		dst := m.out.Files[ids.file[f.ID()]-1]
 		if len(dst.Includes) > 0 {
 			continue // already populated by a previous unit
 		}
@@ -215,7 +213,7 @@ func (m *merger) rewriteRefs(db *PDB, ids idMap) {
 		}
 	}
 	for _, t := range db.types {
-		dst := m.out.TypeByID(ids.typ[t.ID()])
+		dst := m.out.Types[ids.typ[t.ID()]-1]
 		if dst.Elem.Valid() || dst.Ret.Valid() || dst.Tref.Valid() ||
 			dst.Class.Valid() || len(dst.Args) > 0 {
 			// References already rewritten for this merged type.
@@ -234,7 +232,7 @@ func (m *merger) rewriteRefs(db *PDB, ids idMap) {
 		}
 	}
 	for _, n := range db.namespaces {
-		dst := m.out.NamespaceByID(ids.ns[n.ID()])
+		dst := m.out.Namespaces[ids.ns[n.ID()]-1]
 		dst.Parent = remapRef(n.raw.Parent, ids.ns)
 		dst.Loc = remapLoc(n.raw.Loc)
 		// Union the member lists.
@@ -250,14 +248,14 @@ func (m *merger) rewriteRefs(db *PDB, ids idMap) {
 		}
 	}
 	for _, t := range db.templates {
-		dst := m.out.TemplateByID(ids.template[t.ID()])
+		dst := m.out.Templates[ids.template[t.ID()]-1]
 		dst.Loc = remapLoc(t.raw.Loc)
 		dst.Class = remapRef(t.raw.Class, ids.class)
 		dst.Namespace = remapRef(t.raw.Namespace, ids.ns)
 		dst.Pos = remapPos(t.raw.Pos)
 	}
 	for _, c := range db.classes {
-		dst := m.out.ClassByID(ids.class[c.ID()])
+		dst := m.out.Classes[ids.class[c.ID()]-1]
 		richer := len(c.raw.Funcs) >= len(dst.Funcs)
 		if !richer {
 			continue
@@ -288,7 +286,7 @@ func (m *merger) rewriteRefs(db *PDB, ids idMap) {
 		}
 	}
 	for _, r := range db.routines {
-		dst := m.out.RoutineByID(ids.routine[r.ID()])
+		dst := m.out.Routines[ids.routine[r.ID()]-1]
 		// Prefer the definition (with body and calls) over a bare
 		// declaration when units disagree.
 		richer := r.raw.Pos.BodyBegin.Valid() || len(r.raw.Calls) >= len(dst.Calls)

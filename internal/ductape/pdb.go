@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"pdt/internal/cmap"
 	"pdt/internal/durable"
 	"pdt/internal/pdb"
 )
@@ -26,12 +25,12 @@ type PDB struct {
 	namespaces []*Namespace
 	macros     []*Macro
 
-	fileByID      *cmap.Map[int, *File]
-	routineByID   *cmap.Map[int, *Routine]
-	classByIDm    *cmap.Map[int, *Class]
-	typeByIDm     *cmap.Map[int, *Type]
-	templateByIDm *cmap.Map[int, *Template]
-	namespByIDm   *cmap.Map[int, *Namespace]
+	fileByID      map[int]*File
+	routineByID   map[int]*Routine
+	classByIDm    map[int]*Class
+	typeByIDm     map[int]*Type
+	templateByIDm map[int]*Template
+	namespByIDm   map[int]*Namespace
 }
 
 // parallelBuildThreshold is the item count above which FromRaw builds
@@ -43,30 +42,30 @@ const parallelBuildThreshold = 4096
 func FromRaw(raw *pdb.PDB) *PDB {
 	p := &PDB{
 		raw:           raw,
-		fileByID:      cmap.NewInt[*File](),
-		routineByID:   cmap.NewInt[*Routine](),
-		classByIDm:    cmap.NewInt[*Class](),
-		typeByIDm:     cmap.NewInt[*Type](),
-		templateByIDm: cmap.NewInt[*Template](),
-		namespByIDm:   cmap.NewInt[*Namespace](),
+		fileByID:      make(map[int]*File, len(raw.Files)),
+		routineByID:   make(map[int]*Routine, len(raw.Routines)),
+		classByIDm:    make(map[int]*Class, len(raw.Classes)),
+		typeByIDm:     make(map[int]*Type, len(raw.Types)),
+		templateByIDm: make(map[int]*Template, len(raw.Templates)),
+		namespByIDm:   make(map[int]*Namespace, len(raw.Namespaces)),
 	}
 	// Files first: every other kind's loc() resolves through fileByID.
 	p.files = make([]*File, len(raw.Files))
 	for i, rf := range raw.Files {
 		f := &File{p: p, raw: rf}
 		p.files[i] = f
-		p.fileByID.Set(rf.ID, f)
+		p.fileByID[rf.ID] = f
 	}
-	// The remaining kinds only read fileByID and write disjoint slices
-	// and maps, so on large databases they build concurrently — the
-	// sharded maps absorb the parallel inserts without a global lock.
+	// The remaining kinds only read fileByID and each writes its own
+	// slice and map, so on large databases they build concurrently
+	// without any locking.
 	builders := []func(){
 		func() {
 			p.types = make([]*Type, len(raw.Types))
 			for i, rt := range raw.Types {
 				t := &Type{p: p, raw: rt}
 				p.types[i] = t
-				p.typeByIDm.Set(rt.ID, t)
+				p.typeByIDm[rt.ID] = t
 			}
 		},
 		func() {
@@ -74,7 +73,7 @@ func FromRaw(raw *pdb.PDB) *PDB {
 			for i, rn := range raw.Namespaces {
 				n := &Namespace{p: p, raw: rn, loc: p.loc(rn.Loc)}
 				p.namespaces[i] = n
-				p.namespByIDm.Set(rn.ID, n)
+				p.namespByIDm[rn.ID] = n
 			}
 		},
 		func() {
@@ -82,7 +81,7 @@ func FromRaw(raw *pdb.PDB) *PDB {
 			for i, rt := range raw.Templates {
 				t := &Template{p: p, raw: rt, loc: p.loc(rt.Loc), pos: p.pos(rt.Pos)}
 				p.templates[i] = t
-				p.templateByIDm.Set(rt.ID, t)
+				p.templateByIDm[rt.ID] = t
 			}
 		},
 		func() {
@@ -90,7 +89,7 @@ func FromRaw(raw *pdb.PDB) *PDB {
 			for i, rc := range raw.Classes {
 				c := &Class{p: p, raw: rc, loc: p.loc(rc.Loc), pos: p.pos(rc.Pos)}
 				p.classes[i] = c
-				p.classByIDm.Set(rc.ID, c)
+				p.classByIDm[rc.ID] = c
 			}
 		},
 		func() {
@@ -98,7 +97,7 @@ func FromRaw(raw *pdb.PDB) *PDB {
 			for i, rr := range raw.Routines {
 				r := &Routine{p: p, raw: rr, loc: p.loc(rr.Loc), pos: p.pos(rr.Pos)}
 				p.routines[i] = r
-				p.routineByID.Set(rr.ID, r)
+				p.routineByID[rr.ID] = r
 			}
 		},
 	}
@@ -143,12 +142,6 @@ func ReadFile(path string) (*PDB, error) {
 	return Read(f)
 }
 
-// Load reads a PDB from disk.
-//
-// Deprecated: Load is kept for compatibility; use ReadFile, or
-// pdbio.Load for the concurrent, option-driven path.
-func Load(path string) (*PDB, error) { return ReadFile(path) }
-
 // Write serializes the database in the ASCII text encoding.
 func (p *PDB) Write(w io.Writer) error { return p.raw.Write(w) }
 
@@ -180,7 +173,7 @@ func (p *PDB) Raw() *pdb.PDB { return p.raw }
 func (p *PDB) link() {
 	for _, f := range p.files {
 		for _, inc := range f.raw.Includes {
-			if target := p.fileByID.Value(inc.ID); target != nil {
+			if target := p.fileByID[inc.ID]; target != nil {
 				f.includes = append(f.includes, target)
 				target.includedBy = append(target.includedBy, f)
 			}
@@ -188,7 +181,7 @@ func (p *PDB) link() {
 	}
 	for _, c := range p.classes {
 		for _, b := range c.raw.Bases {
-			base := p.classByIDm.Value(b.Class.ID)
+			base := p.classByIDm[b.Class.ID]
 			c.bases = append(c.bases, Base{Class: base, Access: b.Access,
 				Virtual: b.Virtual, Loc: p.loc(b.Loc)})
 			if base != nil {
@@ -196,22 +189,22 @@ func (p *PDB) link() {
 			}
 		}
 		for _, fr := range c.raw.Funcs {
-			if r := p.routineByID.Value(fr.Routine.ID); r != nil {
+			if r := p.routineByID[fr.Routine.ID]; r != nil {
 				c.funcs = append(c.funcs, r)
 			}
 		}
 		for _, m := range c.raw.Members {
 			c.members = append(c.members, Member{Name: m.Name, Loc: p.loc(m.Loc),
-				Access: m.Access, Kind: m.Kind, Type: p.typeByIDm.Value(m.Type.ID),
+				Access: m.Access, Kind: m.Kind, Type: p.typeByIDm[m.Type.ID],
 				Static: m.Static})
 		}
-		if t := p.templateByIDm.Value(c.raw.Template.ID); t != nil {
+		if t := p.templateByIDm[c.raw.Template.ID]; t != nil {
 			t.instClasses = append(t.instClasses, c)
 		}
 	}
 	for _, r := range p.routines {
 		for _, cs := range r.raw.Calls {
-			callee := p.routineByID.Value(cs.Callee.ID)
+			callee := p.routineByID[cs.Callee.ID]
 			if callee == nil {
 				continue
 			}
@@ -219,7 +212,7 @@ func (p *PDB) link() {
 				virtual: cs.Virtual, loc: p.loc(cs.Loc)})
 			callee.callers = append(callee.callers, r)
 		}
-		if t := p.templateByIDm.Value(r.raw.Template.ID); t != nil {
+		if t := p.templateByIDm[r.raw.Template.ID]; t != nil {
 			t.instRoutines = append(t.instRoutines, r)
 		}
 	}
@@ -229,7 +222,7 @@ func (p *PDB) loc(l pdb.Loc) Location {
 	if !l.Valid() {
 		return Location{}
 	}
-	return Location{File: p.fileByID.Value(l.File.ID), Line: l.Line, Col: l.Col}
+	return Location{File: p.fileByID[l.File.ID], Line: l.Line, Col: l.Col}
 }
 
 func (p *PDB) pos(fp pdb.Pos) fourPos {
@@ -239,10 +232,10 @@ func (p *PDB) pos(fp pdb.Pos) fourPos {
 	}
 }
 
-func (p *PDB) typeByID(id int) *Type           { return p.typeByIDm.Value(id) }
-func (p *PDB) classByID(id int) *Class         { return p.classByIDm.Value(id) }
-func (p *PDB) templateByID(id int) *Template   { return p.templateByIDm.Value(id) }
-func (p *PDB) namespaceByID(id int) *Namespace { return p.namespByIDm.Value(id) }
+func (p *PDB) typeByID(id int) *Type           { return p.typeByIDm[id] }
+func (p *PDB) classByID(id int) *Class         { return p.classByIDm[id] }
+func (p *PDB) templateByID(id int) *Template   { return p.templateByIDm[id] }
+func (p *PDB) namespaceByID(id int) *Namespace { return p.namespByIDm[id] }
 
 // --- item lists (the getXXXVec methods of the paper's PDB class) -----------
 

@@ -15,8 +15,8 @@
 //   - Lock / AcquireLock: an advisory flock-based lock file so two
 //     concurrent writers (e.g. two pdbmerge runs on one output) fail
 //     fast instead of interleaving.
-//   - Journal: a content-addressed checkpoint store used by
-//     pdbio.Merge to make long merges resumable (see journal.go).
+//   - Journal: a content-addressed result store behind the pdbd disk
+//     cache and incremental pdblint (see journal.go).
 //
 // All mutating filesystem operations go through the FS interface, in
 // the order they hit the disk. That is the kill-point seam: the

@@ -11,26 +11,27 @@ import (
 	"strings"
 )
 
-// Journal is a content-addressed checkpoint store: each entry is an
-// opaque payload filed under a caller-derived key (for pdbio.Merge,
-// the hash of a merge unit's inputs and options). Entries are written
-// atomically and self-verify on load — the file carries its own key
-// and a checksum of its payload, so a stale, torn, or tampered
-// checkpoint is detected by hash mismatch and reported as invalid
-// rather than silently reused. That is the whole resume contract: a
-// key can only ever name one byte string, so reusing a verified entry
-// is proven equivalent to recomputing it.
+// Journal is a content-addressed result store: each entry is an
+// opaque payload filed under a caller-derived key (for the pdbd
+// response cache, the hash of an endpoint, its parameters and the
+// corpus fingerprint). Entries are written atomically and self-verify
+// on load — the file carries its own key and a checksum of its
+// payload, so a stale, torn, or tampered entry is detected by hash
+// mismatch and reported as invalid rather than silently reused. That
+// is the whole reuse contract: a key can only ever name one byte
+// string, so reusing a verified entry is proven equivalent to
+// recomputing it.
 type Journal struct {
 	fsys FS
 	dir  string
 }
 
-// journalHeader is the first line of every checkpoint file. The key is
-// repeated inside the file so a renamed or copied checkpoint cannot
-// masquerade as another unit's result.
+// journalMagic opens the first line of every entry file. The key is
+// repeated inside the file so a renamed or copied entry cannot
+// masquerade as another key's result.
 const journalMagic = "#pdt-checkpoint v1"
 
-// OpenJournal opens (creating if needed) the checkpoint directory.
+// OpenJournal opens (creating if needed) the journal directory.
 // Writes go through fsys — the kill-point seam — while loads read the
 // real filesystem directly.
 func OpenJournal(fsys FS, dir string) (*Journal, error) {
@@ -53,7 +54,7 @@ func Sum(data []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// KeyOf derives a checkpoint key from its labeled parts (child hashes,
+// KeyOf derives a journal key from its labeled parts (content hashes,
 // option fingerprints). Parts are length-prefix framed before hashing
 // so no two distinct part lists collide by concatenation.
 func KeyOf(parts ...string) string {
@@ -82,7 +83,7 @@ func (j *Journal) Store(key string, payload []byte) error {
 // Load fetches the payload stored under key. ok reports a verified
 // hit. invalid reports an entry that exists but failed verification —
 // wrong magic, key mismatch, checksum mismatch, or truncation — which
-// the caller should count (checkpoint.invalidated) and overwrite;
+// the caller should count (e.g. cache.disk.invalid) and overwrite;
 // Load never returns such bytes.
 func (j *Journal) Load(key string) (payload []byte, ok, invalid bool) {
 	data, err := os.ReadFile(j.path(key))

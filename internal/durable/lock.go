@@ -3,7 +3,6 @@ package durable
 import (
 	"errors"
 	"os"
-	"time"
 )
 
 // ErrLocked is the sentinel AcquireLock returns when another holder
@@ -23,67 +22,4 @@ func (l *Lock) Path() string {
 		return ""
 	}
 	return l.path
-}
-
-// Touch refreshes the lock file's modification time — the heartbeat a
-// supervised holder emits so a peer can distinguish "alive but slow"
-// from "dead or wedged". The shard-merge lease protocol calls it every
-// heartbeat interval; HeartbeatAge reads it back.
-func (l *Lock) Touch() error {
-	if l == nil || l.f == nil {
-		return errors.New("durable: touch on released lock")
-	}
-	now := time.Now()
-	return os.Chtimes(l.path, now, now)
-}
-
-// HeartbeatAge reports how long ago the lock file at path was last
-// touched. A missing file is not an error: it reports ok == false,
-// meaning no holder ever got far enough to matter.
-func HeartbeatAge(path string) (age time.Duration, ok bool) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, false
-	}
-	return time.Since(fi.ModTime()), true
-}
-
-// AcquireLockWait is the blocking form of AcquireLock: it polls with
-// doubling backoff until the lock is acquired or wait has elapsed,
-// then returns the final ErrLocked. A holder that dies mid-wait frees
-// the flock instantly (the kernel drops it), so takeover latency is
-// one poll interval, not the full deadline.
-func AcquireLockWait(path string, wait time.Duration) (*Lock, error) {
-	deadline := time.Now().Add(wait)
-	backoff := 2 * time.Millisecond
-	for {
-		l, err := AcquireLock(path)
-		if err == nil || !errors.Is(err, ErrLocked) {
-			return l, err
-		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(backoff)
-		if backoff < 50*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
-// BreakStaleLock reclaims the lock at path when its holder looks dead:
-// the heartbeat mtime is older than staleAfter AND the lock is
-// acquirable (a flock holder that died has already released it; see
-// the platform notes on AcquireLock). It returns (true, nil) when the
-// stale lock was broken — the caller may acquire it normally now —
-// (false, nil) when the lock is absent or its heartbeat is fresh, and
-// ErrLocked when the heartbeat is stale but a live process still holds
-// the flock (a wedged holder: the caller must kill it first, which
-// releases the flock).
-func BreakStaleLock(path string, staleAfter time.Duration) (bool, error) {
-	age, ok := HeartbeatAge(path)
-	if !ok || age < staleAfter {
-		return false, nil
-	}
-	return reclaimStale(path, age)
 }

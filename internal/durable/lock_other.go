@@ -5,7 +5,6 @@ package durable
 import (
 	"fmt"
 	"os"
-	"time"
 )
 
 // AcquireLock on platforms without flock(2) falls back to
@@ -21,21 +20,6 @@ func AcquireLock(path string) (*Lock, error) {
 		return nil, fmt.Errorf("durable: lock %s: %w", path, err)
 	}
 	return &Lock{f: f, path: path}, nil
-}
-
-// reclaimStale without flock(2) can only trust the heartbeat: the lock
-// file's existence is the lock, and a crashed holder leaves it behind
-// forever. A stale heartbeat therefore means the holder is presumed
-// dead and the file is removed outright.
-func reclaimStale(path string, age time.Duration) (bool, error) {
-	_ = age
-	if err := os.Remove(path); err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, fmt.Errorf("durable: breaking stale lock %s: %w", path, err)
-	}
-	return true, nil
 }
 
 // Release drops the lock and removes the lock file. Idempotent.

@@ -7,17 +7,16 @@ import (
 	"fmt"
 	"os"
 	"syscall"
-	"time"
 )
 
 // AcquireLock takes the advisory exclusive lock file at path without
 // blocking. A second acquirer — in this process or another — gets
 // ErrLocked immediately, so two pdbmerge runs on one output fail fast
-// instead of interleaving writes or checkpoints. The lock is a
-// flock(2) on an O_CREATE file: it survives nothing (the kernel drops
-// it when the holder dies), so a crashed run never wedges the next
-// one, and the lock file itself is left in place (removing it would
-// race a concurrent acquirer).
+// instead of interleaving writes. The lock is a flock(2) on an
+// O_CREATE file: it survives nothing (the kernel drops it when the
+// holder dies), so a crashed run never wedges the next one, and the
+// lock file itself is left in place (removing it would race a
+// concurrent acquirer).
 func AcquireLock(path string) (*Lock, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -31,23 +30,6 @@ func AcquireLock(path string) (*Lock, error) {
 		return nil, fmt.Errorf("durable: lock %s: %w", path, err)
 	}
 	return &Lock{f: f, path: path}, nil
-}
-
-// reclaimStale probes a stale-heartbeat lock by acquiring it: a flock
-// holder that died has already released the lock in the kernel, so a
-// successful acquire proves the holder is gone. A failed acquire means
-// a live process still holds it despite the frozen heartbeat — wedged,
-// not dead — and the caller gets ErrLocked so it can kill the holder
-// (which releases the flock) before retrying.
-func reclaimStale(path string, age time.Duration) (bool, error) {
-	l, err := AcquireLock(path)
-	if err != nil {
-		if errors.Is(err, ErrLocked) {
-			return false, fmt.Errorf("durable: %s: heartbeat stale for %v but holder alive: %w", path, age, ErrLocked)
-		}
-		return false, err
-	}
-	return true, l.Release()
 }
 
 // Release drops the lock. Idempotent.

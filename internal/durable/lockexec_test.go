@@ -1,9 +1,9 @@
 //go:build unix
 
 // Multi-process lock contention tests: every scenario here crosses a
-// real process boundary via re-exec of the test binary, because flock
-// semantics that matter for the lease protocol — release on death,
-// survival under SIGSTOP — are invisible to in-process tests.
+// real process boundary via re-exec of the test binary, because the
+// flock semantics the output lock relies on — contention between
+// processes, release on death — are invisible to in-process tests.
 package durable_test
 
 import (
@@ -13,9 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"pdt/internal/durable"
 )
@@ -29,8 +27,8 @@ func TestMain(m *testing.M) {
 	case "":
 		os.Exit(m.Run())
 	case "hold":
-		// Acquire the lock named by argv's last element, heartbeat it,
-		// print "held", and hold until stdin closes.
+		// Acquire the lock named by argv's last element, print "held",
+		// and hold until stdin closes.
 		lockHelperHold(os.Args[len(os.Args)-1])
 	case "try":
 		// Try a non-blocking acquire and report the outcome.
@@ -56,14 +54,6 @@ func lockHelperHold(path string) {
 		os.Exit(1)
 	}
 	fmt.Println("held")
-	go func() {
-		for {
-			time.Sleep(10 * time.Millisecond)
-			if l.Touch() != nil {
-				return
-			}
-		}
-	}()
 	// Park until the parent closes stdin (or kills us).
 	buf := make([]byte, 1)
 	os.Stdin.Read(buf)
@@ -71,7 +61,7 @@ func lockHelperHold(path string) {
 	os.Exit(0)
 }
 
-// spawnHolder starts a child process that acquires and heartbeats the
+// spawnHolder starts a child process that acquires and holds the
 // lock, returning once the child confirms it holds it. Closing the
 // returned pipe makes the child release and exit cleanly.
 func spawnHolder(t *testing.T, path string) (*exec.Cmd, *os.File) {
@@ -117,31 +107,9 @@ func TestLockContendedAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestAcquireLockWaitOutlastsHolder: AcquireLockWait must block while
-// the holder lives and win promptly once it releases.
-func TestAcquireLockWaitOutlastsHolder(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.lock")
-	cmd, stdin := spawnHolder(t, path)
-
-	if _, err := durable.AcquireLockWait(path, 50*time.Millisecond); !errors.Is(err, durable.ErrLocked) {
-		t.Fatalf("short wait against live holder: %v, want ErrLocked", err)
-	}
-	// Release the holder shortly after the wait begins.
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		stdin.Close()
-		cmd.Wait()
-	}()
-	l, err := durable.AcquireLockWait(path, 5*time.Second)
-	if err != nil {
-		t.Fatalf("wait past holder release: %v", err)
-	}
-	l.Release()
-}
-
 // TestLockFreedWhenHolderSIGKILLed: the kernel must release the flock
-// the instant the holding process dies, so a peer's takeover needs no
-// cleanup step.
+// the instant the holding process dies, so a crashed pdbmerge never
+// wedges the next run.
 func TestLockFreedWhenHolderSIGKILLed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.lock")
 	cmd, stdin := spawnHolder(t, path)
@@ -151,100 +119,9 @@ func TestLockFreedWhenHolderSIGKILLed(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmd.Wait()
-	l, err := durable.AcquireLockWait(path, 5*time.Second)
+	l, err := durable.AcquireLock(path)
 	if err != nil {
 		t.Fatalf("lock not freed by holder death: %v", err)
 	}
 	l.Release()
-}
-
-// TestBreakStaleLockDistinguishesDeadFromWedged: a SIGSTOPped holder
-// keeps the flock but stops heartbeating. BreakStaleLock must report
-// ErrLocked (wedged, kill required) — and succeed after the holder is
-// SIGKILLed, exactly the coordinator's takeover sequence.
-func TestBreakStaleLockDistinguishesDeadFromWedged(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.lock")
-	cmd, stdin := spawnHolder(t, path)
-	defer stdin.Close()
-
-	// Freeze the holder: heartbeats stop, flock stays held.
-	if err := cmd.Process.Signal(syscall.SIGSTOP); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if age, ok := durable.HeartbeatAge(path); ok && age > 50*time.Millisecond {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("heartbeat never went stale after SIGSTOP")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	broken, err := durable.BreakStaleLock(path, 50*time.Millisecond)
-	if broken || !errors.Is(err, durable.ErrLocked) {
-		t.Fatalf("BreakStaleLock on wedged holder: broken=%v err=%v, want ErrLocked", broken, err)
-	}
-
-	// Kill the wedged holder; its flock evaporates and the break wins.
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	cmd.Wait()
-	broken, err = durable.BreakStaleLock(path, 50*time.Millisecond)
-	if err != nil || !broken {
-		t.Fatalf("BreakStaleLock on dead holder: broken=%v err=%v, want broken", broken, err)
-	}
-	l, err := durable.AcquireLock(path)
-	if err != nil {
-		t.Fatalf("acquire after break: %v", err)
-	}
-	l.Release()
-}
-
-// TestBreakStaleLockFreshHeartbeat: a live, heartbeating holder is
-// never broken.
-func TestBreakStaleLockFreshHeartbeat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.lock")
-	cmd, stdin := spawnHolder(t, path)
-	defer func() { stdin.Close(); cmd.Wait() }()
-
-	broken, err := durable.BreakStaleLock(path, time.Hour)
-	if broken || err != nil {
-		t.Fatalf("BreakStaleLock on fresh heartbeat: broken=%v err=%v, want no-op", broken, err)
-	}
-}
-
-// TestHeartbeatAgeMissing: no lock file means no heartbeat, not an
-// error.
-func TestHeartbeatAgeMissing(t *testing.T) {
-	if _, ok := durable.HeartbeatAge(filepath.Join(t.TempDir(), "absent")); ok {
-		t.Fatal("HeartbeatAge on missing file reported ok")
-	}
-}
-
-// TestTouchRefreshesHeartbeat: Touch must move the mtime forward so a
-// supervisor polling HeartbeatAge sees progress.
-func TestTouchRefreshesHeartbeat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.lock")
-	l, err := durable.AcquireLock(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Release()
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(path, old, old); err != nil {
-		t.Fatal(err)
-	}
-	age, ok := durable.HeartbeatAge(path)
-	if !ok || age < 30*time.Minute {
-		t.Fatalf("backdated heartbeat age = %v ok=%v", age, ok)
-	}
-	if err := l.Touch(); err != nil {
-		t.Fatal(err)
-	}
-	age, ok = durable.HeartbeatAge(path)
-	if !ok || age > time.Minute {
-		t.Fatalf("touched heartbeat age = %v ok=%v, want fresh", age, ok)
-	}
 }

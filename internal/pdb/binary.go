@@ -152,9 +152,8 @@ func (e *binWriter) putPos(b *bytes.Buffer, p Pos) {
 // bytes are deterministic: the same model always encodes identically,
 // so content-addressed caches may key on them. Defaultable fields are
 // written in the same canonical form the ASCII writer emits (racs NA,
-// rkind fun, rvirt no, ...), so a model and its ASCII round-trip — the
-// detour every journaled merge checkpoint takes — encode to identical
-// binary bytes.
+// rkind fun, rvirt no, ...), so a model and its ASCII round-trip
+// encode to identical binary bytes.
 func (p *PDB) WriteBinary(w io.Writer) error {
 	e := newBinWriter()
 

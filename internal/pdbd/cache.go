@@ -35,11 +35,11 @@ func cacheKey(endpoint string, params []string, fingerprint string) string {
 }
 
 // cache is the two-tier result cache: a sharded in-memory LRU in
-// front of an optional content-addressed disk tier (a durable journal,
-// the same machinery merge checkpoints use). Disk hits are promoted
-// into memory; memory evictions simply fall back to disk. A
-// singleflight group coalesces concurrent misses for the same key so
-// a thundering herd computes each answer once.
+// front of an optional content-addressed disk tier (a durable
+// journal). Disk hits are promoted into memory; memory evictions
+// simply fall back to disk. A singleflight group coalesces concurrent
+// misses for the same key so a thundering herd computes each answer
+// once.
 type cache struct {
 	mem     *memCache
 	disk    *durable.Journal // nil = memory-only
@@ -108,7 +108,16 @@ func (c *cache) do(ctx context.Context, key string, compute func() (*entry, erro
 		if e, tier, ok := c.get(key); ok {
 			return e, tier, nil
 		}
+		tier := ""
 		e, err, coalesced := c.group.do(ctx, key, func() (*entry, error) {
+			// The leader of an earlier flight may have stored the
+			// answer between the probe above and this flight's start
+			// (put lands in memory before the flight ends); serve it
+			// rather than compute it twice.
+			if e, ok := c.mem.get(key); ok {
+				tier = "mem"
+				return e, nil
+			}
 			e, err := compute()
 			if err != nil {
 				return nil, err
@@ -123,7 +132,6 @@ func (c *cache) do(ctx context.Context, key string, compute func() (*entry, erro
 		if errors.As(err, &gone) && ctx.Err() == nil {
 			continue
 		}
-		tier := ""
 		if coalesced && err == nil {
 			tier = "coalesced"
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pdt/internal/durable"
 	"pdt/internal/obs"
@@ -88,16 +89,13 @@ func TestCacheSingleflightCoalesces(t *testing.T) {
 	const clients = 8
 	gate := make(chan struct{})
 	var computes atomic.Int64
-	var started sync.WaitGroup
 	var done sync.WaitGroup
-	started.Add(clients)
 	done.Add(clients)
 	errs := make([]error, clients)
 	bodies := make([]string, clients)
 	for i := 0; i < clients; i++ {
 		go func(i int) {
 			defer done.Done()
-			started.Done()
 			e, _, err := c.do(context.Background(), key, func() (*entry, error) {
 				computes.Add(1)
 				<-gate
@@ -109,9 +107,19 @@ func TestCacheSingleflightCoalesces(t *testing.T) {
 			}
 		}(i)
 	}
-	started.Wait()
-	// Everyone is either the leader (blocked on the gate) or a waiter
-	// riding the leader's flight; no result exists yet.
+	// Open the gate only once every other client is parked on the
+	// leader's flight: then everyone is either the leader (blocked on
+	// the gate) or a waiter, and no result exists yet.
+	deadline := time.Now().Add(10 * time.Second)
+	for c.group.waiters(key) < clients-1 {
+		if time.Now().After(deadline) {
+			n := c.group.waiters(key)
+			close(gate)
+			done.Wait()
+			t.Fatalf("only %d of %d waiters parked", n, clients-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(gate)
 	done.Wait()
 	if n := computes.Load(); n != 1 {
@@ -125,6 +133,41 @@ func TestCacheSingleflightCoalesces(t *testing.T) {
 	snap := m.Snapshot()
 	if snap.Counters["cache.coalesced"] == 0 {
 		t.Error("no requests were coalesced")
+	}
+}
+
+// TestCacheMixedTrafficComputesOncePerKey: many clients hammering a
+// small key space, with no evictions, must compute each key exactly
+// once — a request that missed the cache just before a leader stored
+// the answer must not start a second flight that recomputes it.
+func TestCacheMixedTrafficComputesOncePerKey(t *testing.T) {
+	const keys, clients, rounds = 16, 8, 200
+	c := newCache(4096, nil, obs.New("test"))
+	var computes [keys]atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := (w*7 + i*5) % keys
+				key := cacheKey("query", []string{fmt.Sprintf("k=%d", k)}, "fp1")
+				e, _, err := c.do(context.Background(), key, func() (*entry, error) {
+					computes[k].Add(1)
+					return testEntry("query", nil, fmt.Sprint(k)), nil
+				})
+				if err != nil || string(e.Body) != fmt.Sprint(k) {
+					t.Errorf("key %d: err=%v entry=%v", k, err, e)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for k := range computes {
+		if n := computes[k].Load(); n != 1 {
+			t.Errorf("key %d computed %d times, want 1", k, n)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ import (
 // "the daemon opened the corpus the same way" is a config equality.
 type Config struct {
 	// Paths are the input databases; several are merged as pdbmerge
-	// would (reusing Corpus.CheckpointDir journals when set).
+	// would.
 	Paths []string
 	// Corpus is the shared load configuration.
 	Corpus corpus.Options

@@ -21,9 +21,10 @@ type singleflight struct {
 }
 
 type sfCall struct {
-	done chan struct{}
-	ent  *entry
-	err  error
+	done    chan struct{}
+	ent     *entry
+	err     error
+	waiters int // guarded by singleflight.mu
 }
 
 // errLeaderGone is returned to waiters whose leader was canceled; the
@@ -32,6 +33,17 @@ type leaderGoneError struct{ err error }
 
 func (e *leaderGoneError) Error() string { return "pdbd: coalesced leader failed: " + e.err.Error() }
 func (e *leaderGoneError) Unwrap() error { return e.err }
+
+// waiters reports how many callers are parked on the flight for key
+// (0 when no flight is running).
+func (g *singleflight) waiters(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.m[key]; ok {
+		return c.waiters
+	}
+	return 0
+}
 
 // do runs fn once per key per flight. The bool reports whether this
 // caller was a waiter (coalesced onto another's computation). A waiter
@@ -44,6 +56,7 @@ func (g *singleflight) do(ctx context.Context, key string, fn func() (*entry, er
 		g.m = make(map[string]*sfCall)
 	}
 	if c, ok := g.m[key]; ok {
+		c.waiters++
 		g.mu.Unlock()
 		select {
 		case <-c.done:

@@ -74,7 +74,7 @@ func BenchmarkMergeSequential(b *testing.B) {
 }
 
 // BenchmarkMergeParallel is the pdbio pipeline over the same files:
-// concurrent loading plus the k-way tree reduction.
+// concurrent loading plus the linear fold.
 func BenchmarkMergeParallel(b *testing.B) {
 	paths := mergeBenchPaths(b)
 	ctx := context.Background()

@@ -3,20 +3,15 @@ package pdbio
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
-	"sync"
 
 	"pdt/internal/ductape"
-	"pdt/internal/obs"
+	"pdt/internal/durable"
 )
 
-// Merge combines the databases with a balanced binary tree reduction:
-// adjacent pairs are merged concurrently, then the halved list again,
-// until one database remains. Input order is preserved at every level,
-// so the result is byte-identical to the sequential left-to-right
-// ductape.Merge over the same inputs — the dedup keys and the
-// richer-payload resolution are order-associative.
+// Merge combines the databases with one left-to-right ductape.Merge
+// fold. The fold is linear in the total item count, so it needs no
+// worker pool: the parallelism of the pipeline lives in LoadAll.
 func Merge(ctx context.Context, dbs []*ductape.PDB, opts ...Option) (*ductape.PDB, error) {
 	cfg := newConfig(opts)
 	sp := cfg.startSpan("merge")
@@ -25,103 +20,64 @@ func Merge(ctx context.Context, dbs []*ductape.PDB, opts ...Option) (*ductape.PD
 	if len(dbs) == 0 {
 		return nil, errors.New("no databases to merge")
 	}
-	if len(dbs) == 1 {
-		// Normalize like ductape.Merge: a single input is still
-		// renumbered and deduplicated.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return ductape.Merge(dbs[0]), nil
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cfg.ckptDir != "" {
-		// Journaling forces the tree path even at one worker, so the
-		// checkpointed units are identical at every worker count and a
-		// -j 1 resume can reuse a -j 8 run's journal.
-		return mergeCheckpointed(ctx, dbs, cfg, sp)
-	}
-	workers := cfg.workerCount()
-	if workers <= 1 {
-		// One worker: the tree would serialize anyway, and its
-		// intermediate databases cost ~log2(N) times the copy work of
-		// the single-pass fold. Same bytes either way.
-		return ductape.Merge(dbs...), nil
-	}
-	pool := cfg.metrics.Pool("merge")
-	cur := dbs
-	for level := 1; len(cur) > 1; level++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ls := sp.Start(fmt.Sprintf("level-%d", level))
-		in := cur
-		next := make([]*ductape.PDB, (len(cur)+1)/2)
-		pairs := len(cur) / 2
-		ls.AddItems(int64(pairs))
-		lw := workers
-		if lw > pairs {
-			lw = pairs
-		}
-		// Indexed workers pull pair indices from a channel; each pair's
-		// result lands in its own slot, so scheduling never affects the
-		// output and per-worker busy time is attributable.
-		feed := make(chan int)
-		go func() {
-			defer close(feed)
-			for i := 0; i+1 < len(in); i += 2 {
-				select {
-				case feed <- i:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		var wg sync.WaitGroup
-		for w := 0; w < lw; w++ {
-			wg.Add(1)
-			go func(wrk *obs.Worker) {
-				defer wg.Done()
-				for i := range feed {
-					t0 := wrk.Begin()
-					next[i/2] = ductape.Merge(in[i], in[i+1])
-					wrk.End(t0, 1, 0)
-				}
-			}(pool.Worker(w))
-		}
-		if len(cur)%2 == 1 {
-			// The odd database out passes through unmerged; the next
-			// level picks it up in position.
-			next[len(next)-1] = cur[len(cur)-1]
-		}
-		wg.Wait()
-		ls.End()
-		cur = next
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return cur[0], nil
+	return ductape.Merge(dbs...), nil
 }
 
-// MergeFiles loads every input concurrently, merges the databases with
-// the tree reduction, and writes the merged database to w — the whole
-// pdbmerge pipeline behind one call.
+// MergeFiles loads every input concurrently, merges the databases, and
+// writes the merged database to w — the whole pdbmerge pipeline
+// behind one call.
 func MergeFiles(ctx context.Context, w io.Writer, paths []string, opts ...Option) error {
-	if len(paths) == 0 {
-		return errors.New("no input files")
-	}
-	dbs, err := LoadAll(ctx, paths, opts...)
+	merged, cfg, err := loadAndMerge(ctx, paths, opts)
 	if err != nil {
 		return err
 	}
-	merged, err := Merge(ctx, dbs, opts...)
-	if err != nil {
-		return err
-	}
-	cfg := newConfig(opts)
 	ws := cfg.startSpan("write")
 	defer ws.End()
 	return cfg.writeMerged(merged, w)
+}
+
+// MergeToFile runs the whole pdbmerge pipeline with crash-consistent
+// output: load every input concurrently, merge them, and atomically
+// replace path with the result — staged to a same-directory temp
+// file, fsynced, renamed over the target, directory fsynced. At every
+// write site a crash leaves path holding nothing, the previous bytes,
+// or the complete new bytes, never a prefix; the kill-point property
+// tests iterate a CrashFS over every site to prove it.
+func MergeToFile(ctx context.Context, path string, inputs []string, opts ...Option) error {
+	merged, cfg, err := loadAndMerge(ctx, inputs, opts)
+	if err != nil {
+		return err
+	}
+	ws := cfg.startSpan("write")
+	defer ws.End()
+	w, err := durable.CreateFS(cfg.durableFS(), path)
+	if err != nil {
+		return err
+	}
+	if err := cfg.writeMerged(merged, w); err != nil {
+		w.Abort()
+		return err
+	}
+	// The durable child span isolates the crash-consistency cost —
+	// fsync, atomic rename, directory fsync — from the serialization.
+	ds := ws.Start("durable")
+	defer ds.End()
+	return w.Close()
+}
+
+// loadAndMerge is the shared front half of MergeFiles and MergeToFile.
+func loadAndMerge(ctx context.Context, paths []string, opts []Option) (*ductape.PDB, config, error) {
+	cfg := newConfig(opts)
+	if len(paths) == 0 {
+		return nil, cfg, errors.New("no input files")
+	}
+	dbs, err := LoadAll(ctx, paths, opts...)
+	if err != nil {
+		return nil, cfg, err
+	}
+	merged, err := Merge(ctx, dbs, opts...)
+	return merged, cfg, err
 }

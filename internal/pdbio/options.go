@@ -9,9 +9,8 @@
 //     (split into item blocks, parse blocks on a worker pool,
 //     reassemble in input order) whose output is byte-identical to the
 //     sequential pdb.Read.
-//   - Merge combines N databases with a balanced k-way tree reduction
-//     whose leaf merges run in parallel and whose result is
-//     byte-identical to the sequential left-to-right ductape.Merge.
+//   - Merge combines N databases with one linear left-to-right
+//     ductape.Merge fold.
 //
 // All entry points take a context for cancellation and a variadic
 // option list (WithWorkers, WithStrictValidation, WithMaxLineBytes).
@@ -66,9 +65,7 @@ type config struct {
 	fsys       fs.FS
 	stats      *Stats
 
-	// Crash-consistency knobs (internal/durable).
-	ckptDir string
-	resume  bool
+	// Crash-consistency seam (internal/durable).
 	writeFS durable.FS
 
 	// Post-load hooks, run on every successfully built object graph.
@@ -143,7 +140,7 @@ func (c config) workerCount() int {
 }
 
 // WithWorkers sets the number of concurrent workers used for block
-// parsing, multi-file loading, and leaf merges. n <= 0 selects one
+// parsing and multi-file loading. n <= 0 selects one
 // worker per available CPU; n == 1 forces the sequential paths.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
@@ -246,29 +243,10 @@ func WithStats(s *Stats) Option {
 	return func(c *config) { c.stats = s }
 }
 
-// WithCheckpoint makes Merge journal every completed tree-reduction
-// unit into dir as a crash-safe checkpoint (internal/durable.Journal):
-// each unit is written atomically under a content hash of its inputs
-// and the merge options. With resume, a restarted merge loads
-// verified checkpoints instead of recomputing their units — proven
-// byte-identical to an uninterrupted run, since a key can only name
-// one byte string and stale or torn entries are invalidated by hash
-// mismatch. Progress is visible in the metrics registry as
-// checkpoint.written / checkpoint.reused / checkpoint.invalidated.
-// Checkpointing forces the tree-reduction path even at one worker, so
-// the journaled units are identical at every -j.
-func WithCheckpoint(dir string, resume bool) Option {
-	return func(c *config) {
-		c.ckptDir = dir
-		c.resume = resume
-	}
-}
-
-// WithWriteFS reroutes all durable writes — checkpoints and
-// MergeToFile's final output — through fsys instead of the real
-// filesystem. It is the kill-point seam: internal/faultio's CrashFS
-// implements durable.FS to cut the write stream at a chosen byte or
-// operation.
+// WithWriteFS reroutes MergeToFile's durable output write through
+// fsys instead of the real filesystem. It is the kill-point seam:
+// internal/faultio's CrashFS implements durable.FS to cut the write
+// stream at a chosen byte or operation.
 func WithWriteFS(fsys durable.FS) Option {
 	return func(c *config) { c.writeFS = fsys }
 }

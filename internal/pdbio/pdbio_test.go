@@ -154,9 +154,9 @@ func TestReadErrorsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesSequentialFold: the tree reduction must be
-// byte-identical to the sequential left-to-right fold, including for
-// odd input counts (the pass-through path).
+// TestMergeMatchesSequentialFold: pdbio.Merge must be byte-identical
+// to the sequential left-to-right ductape.Merge fold at every input
+// and worker count.
 func TestMergeMatchesSequentialFold(t *testing.T) {
 	ctx := context.Background()
 	entries := corpus(t)
@@ -175,7 +175,7 @@ func TestMergeMatchesSequentialFold(t *testing.T) {
 				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 			}
 			if g := pdbText(t, got); g != want {
-				t.Errorf("n=%d workers=%d: tree merge differs from sequential fold",
+				t.Errorf("n=%d workers=%d: merge differs from sequential fold",
 					n, workers)
 			}
 		}
@@ -210,6 +210,69 @@ func TestMergeFilesMatchesSequential(t *testing.T) {
 	}
 	if sb.String() != want {
 		t.Error("MergeFiles output differs from the sequential fold")
+	}
+}
+
+// TestMergeFilesDeduplicatesOnDisk: both units instantiate Box<int>;
+// the on-disk pipeline must collapse the duplicates (the paper's
+// duplicate-instantiation elimination) into a database that reads
+// back and validates.
+func TestMergeFilesDeduplicatesOnDisk(t *testing.T) {
+	hdr := "#ifndef S_H\n#define S_H\n" +
+		"template <class T> class Box { public: Box() { } T v; int get() { return 1; } };\n" +
+		"#endif\n"
+	dir := t.TempDir()
+	var paths []string
+	for _, u := range []string{"u1", "u2"} {
+		db := compileUnit(t, map[string]string{"s.h": hdr,
+			u + ".cpp": "#include \"s.h\"\nvoid " + u + "() { Box<int> b; b.get(); }\n"}, u+".cpp")
+		path := filepath.Join(dir, u+".pdb")
+		if err := os.WriteFile(path, []byte(pdbText(t, db)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	var out strings.Builder
+	if err := pdbio.MergeFiles(context.Background(), &out, paths); err != nil {
+		t.Fatalf("MergeFiles: %v", err)
+	}
+	merged, err := ductape.Read(strings.NewReader(out.String()))
+	if err != nil {
+		t.Fatalf("merged output unreadable: %v", err)
+	}
+	boxes := 0
+	for _, c := range merged.Classes() {
+		if c.Name() == "Box<int>" {
+			boxes++
+		}
+	}
+	if boxes != 1 {
+		t.Errorf("Box<int> appears %d times after merge, want 1", boxes)
+	}
+	if errs := merged.Raw().Validate(); len(errs) != 0 {
+		t.Errorf("merged output invalid: %v", errs[0])
+	}
+}
+
+// TestMergeFilesErrors: no inputs, a missing input and a malformed
+// input all fail the pipeline.
+func TestMergeFilesErrors(t *testing.T) {
+	ctx := context.Background()
+	var out strings.Builder
+	if err := pdbio.MergeFiles(ctx, &out, nil); err == nil ||
+		!strings.Contains(err.Error(), "no input files") {
+		t.Errorf("no-input error = %v", err)
+	}
+	dir := t.TempDir()
+	if err := pdbio.MergeFiles(ctx, &out, []string{filepath.Join(dir, "missing.pdb")}); err == nil {
+		t.Error("missing file accepted")
+	}
+	bad := filepath.Join(dir, "bad.pdb")
+	if err := os.WriteFile(bad, []byte("not a pdb"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := pdbio.MergeFiles(ctx, &out, []string{bad}); err == nil {
+		t.Error("malformed file accepted")
 	}
 }
 

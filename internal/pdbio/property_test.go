@@ -37,12 +37,11 @@ func mergeUnitDBs(tb testing.TB, m, sharedInsts, localClasses int) []*ductape.PD
 	return dbs
 }
 
-// TestMergeAssociativityProperty extends the fixed-order equivalence
-// test of the tree reduction: over seeded random input permutations
-// AND random merge-tree shapes of a GenMergeUnits workload, the merge
-// result must be byte-identical to the sequential left-to-right fold
-// over the same input order — the invariant that makes the parallel
-// tree reduction safe at any worker count and any scheduling.
+// TestMergeAssociativityProperty: over seeded random input
+// permutations AND random merge-tree shapes of a GenMergeUnits
+// workload, the merge result must be byte-identical to the sequential
+// left-to-right fold over the same input order, and pdbio.Merge must
+// match that fold at every worker count.
 func TestMergeAssociativityProperty(t *testing.T) {
 	ctx := context.Background()
 	dbs := mergeUnitDBs(t, 7, 4, 3)
@@ -70,7 +69,7 @@ func TestMergeAssociativityProperty(t *testing.T) {
 		}
 
 		// The engine itself over the same order, at assorted worker
-		// counts (its balanced tree is one more shape).
+		// counts.
 		for _, workers := range []int{1, 2, 3, 8} {
 			got, err := pdbio.Merge(ctx, perm, pdbio.WithWorkers(workers))
 			if err != nil {
