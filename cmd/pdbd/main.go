@@ -25,8 +25,8 @@
 //	GET  /v1/lint?passes=a,b&changed=f.cc  analysis findings
 //	GET  /v1/tree?files&classes&calls      hierarchy trees
 //	GET  /v1/html/{page}                   documentation pages
-//	POST /v1/reload                        re-open the corpus, invalidate
-//	                                       only affected cache entries
+//	POST /v1/reload                        re-open the corpus; a changed
+//	                                       one starts a cold memory cache
 //	POST /v1/profile/ingest                streamed TAU profile events
 //	                                       (taurun -stream)
 //	GET  /v1/profile                       live aggregated profile JSON
@@ -101,8 +101,8 @@ func main() {
 				fmt.Fprintf(t.Stderr, "pdbd: reload failed: %v\n", err)
 				continue
 			}
-			fmt.Fprintf(t.Stderr, "pdbd: reloaded (fingerprint %.12s, %d changed units, cache carried %d dropped %d)\n",
-				sum.Fingerprint, len(sum.ChangedUnits), sum.CacheCarried, sum.CacheDropped)
+			fmt.Fprintf(t.Stderr, "pdbd: reloaded (fingerprint %.12s, %d changed units, cache dropped %d)\n",
+				sum.Fingerprint, len(sum.ChangedUnits), sum.CacheDropped)
 		}
 	}()
 

@@ -89,25 +89,33 @@ func conflictingRoutines(db *ductape.PDB) []Diagnostic {
 		owner, name, args string
 		isConst           bool
 	}
-	// order follows db.Routines(), which is deterministic; the caller's
-	// final Sort normalizes the diagnostic order, so the groups need no
-	// sorting of their own.
-	byKey := map[groupKey][]*ductape.Routine{}
+	// Nearly every key names one routine, so a key maps to the index of
+	// its first routine, and a group is allocated only on a second
+	// sighting. order lists the groups by that first index, i.e. in
+	// db.Routines() order, which is deterministic; the caller's final
+	// Sort normalizes the diagnostic order.
+	routines := db.Routines()
+	first := make(map[groupKey]int, len(routines))
+	groups := map[groupKey][]*ductape.Routine{}
 	var order []groupKey
-	for _, r := range db.Routines() {
+	for i, r := range routines {
 		key := groupKey{ownerOf(r), r.Name(), argSpelling(r), r.IsConst()}
-		if _, ok := byKey[key]; !ok {
+		j, seen := first[key]
+		if !seen {
+			first[key] = i
+			continue
+		}
+		if groups[key] == nil {
+			groups[key] = []*ductape.Routine{routines[j]}
 			order = append(order, key)
 		}
-		byKey[key] = append(byKey[key], r)
+		groups[key] = append(groups[key], r)
 	}
+	sort.Slice(order, func(a, b int) bool { return first[order[a]] < first[order[b]] })
 
 	var out []Diagnostic
 	for _, key := range order {
-		rs := byKey[key]
-		if len(rs) < 2 {
-			continue
-		}
+		rs := groups[key]
 		sort.Slice(rs, func(i, j int) bool { return routineOrder(rs[i]) < routineOrder(rs[j]) })
 		sigs := map[string]bool{}
 		bodies := 0

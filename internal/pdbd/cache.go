@@ -11,16 +11,14 @@ import (
 )
 
 // entry is one cached response: the rendered body plus the metadata
-// the cache needs to serve it (content type) and to invalidate or
-// carry it across a corpus reload (endpoint, params, node keys,
-// global). The JSON encoding is the on-disk payload format inside the
-// durable journal, which adds its own self-verifying header.
+// the cache needs to serve it (content type) and to tell on reload
+// whether its disk copy answers for the new corpus (endpoint, params).
+// The JSON encoding is the on-disk payload format inside the durable
+// journal, which adds its own self-verifying header.
 type entry struct {
 	SchemaVersion int      `json:"schema_version"`
 	Endpoint      string   `json:"endpoint"`
 	Params        []string `json:"params"`
-	NodeKeys      []string `json:"node_keys,omitempty"`
-	Global        bool     `json:"global,omitempty"`
 	ContentType   string   `json:"content_type"`
 	Body          []byte   `json:"body"`
 }
@@ -39,7 +37,8 @@ func cacheKey(endpoint string, params []string, fingerprint string) string {
 // journal). Disk hits are promoted into memory; memory evictions
 // simply fall back to disk. A singleflight group coalesces concurrent
 // misses for the same key so a thundering herd computes each answer
-// once.
+// once. Each corpus snapshot owns one cache; the snapshots of one
+// daemon share its disk journal.
 type cache struct {
 	mem     *memCache
 	disk    *durable.Journal // nil = memory-only
@@ -62,25 +61,32 @@ func (c *cache) get(key string) (*entry, string, bool) {
 	if c.disk == nil {
 		return nil, "", false
 	}
+	if e, ok := c.load(key); ok {
+		c.metrics.Counter("cache.disk.hits").Add(1)
+		c.mem.put(key, e)
+		return e, "disk", true
+	}
+	c.metrics.Counter("cache.disk.misses").Add(1)
+	return nil, "", false
+}
+
+// load reads one entry from the disk tier. An entry the journal
+// rejects, or that decodes to a foreign or stale-schema entry, is
+// removed.
+func (c *cache) load(key string) (*entry, bool) {
 	payload, ok, invalid := c.disk.Load(key)
+	if ok {
+		var e entry
+		if err := json.Unmarshal(payload, &e); err == nil && e.SchemaVersion == schema.Version {
+			return &e, true
+		}
+		invalid = true
+	}
 	if invalid {
 		c.metrics.Counter("cache.disk.invalid").Add(1)
 		_ = c.disk.Remove(key)
 	}
-	if ok {
-		var e entry
-		if err := json.Unmarshal(payload, &e); err == nil && e.SchemaVersion == schema.Version {
-			c.metrics.Counter("cache.disk.hits").Add(1)
-			c.mem.put(key, &e)
-			return &e, "disk", true
-		}
-		// Decodable by the journal but not by us: a foreign or
-		// stale-schema entry. Drop it.
-		c.metrics.Counter("cache.disk.invalid").Add(1)
-		_ = c.disk.Remove(key)
-	}
-	c.metrics.Counter("cache.disk.misses").Add(1)
-	return nil, "", false
+	return nil, false
 }
 
 // put stores an entry in both tiers. Disk write failures are counted,
@@ -139,66 +145,22 @@ func (c *cache) do(ctx context.Context, key string, compute func() (*entry, erro
 	}
 }
 
-// invalidate rewires the cache across a corpus reload. Entries keyed
-// to the old fingerprint are either dropped — global entries, and
-// entries whose recorded node keys intersect the drop set (the
-// affected closure of the changed units on both the old and the new
-// graph) — or carried: re-keyed to the new fingerprint so the answers
-// they hold, provably untouched by the change, keep serving warm.
-func (c *cache) invalidate(oldFP, newFP string, drop map[string]bool) (carried, dropped int) {
-	rekey := func(key string, e *entry) {
-		doomed := e.Global
-		for _, k := range e.NodeKeys {
-			doomed = doomed || drop[k]
-		}
-		if doomed {
-			dropped++
-			return
-		}
-		carried++
-		c.put(cacheKey(e.Endpoint, e.Params, newFP), e)
+// sweep keeps the disk tier to one corpus across a reload: it removes
+// every journaled entry whose key is not the cacheKey of its own
+// endpoint and params under fingerprint fp. The memory tier needs no
+// sweep; a reload starts a fresh one.
+func (c *cache) sweep(fp string) {
+	if c.disk == nil {
+		return
 	}
-	for key, e := range c.mem.snapshot() {
-		c.mem.remove(key)
-		if c.disk != nil {
-			// The disk copy under the old key is superseded either way:
-			// dropped entries must not linger, carried ones are re-stored
-			// under the new key by rekey's put.
+	keys, err := c.disk.Keys()
+	if err != nil {
+		c.metrics.Counter("cache.disk.errors").Add(1)
+		return
+	}
+	for _, key := range keys {
+		if e, ok := c.load(key); ok && cacheKey(e.Endpoint, e.Params, fp) != key {
 			_ = c.disk.Remove(key)
 		}
-		rekey(key, e)
 	}
-	if c.disk != nil {
-		keys, err := c.disk.Keys()
-		if err != nil {
-			c.metrics.Counter("cache.disk.errors").Add(1)
-			keys = nil
-		}
-		for _, key := range keys {
-			payload, ok, invalid := c.disk.Load(key)
-			if invalid {
-				c.metrics.Counter("cache.disk.invalid").Add(1)
-			}
-			if !ok {
-				_ = c.disk.Remove(key)
-				continue
-			}
-			var e entry
-			if err := json.Unmarshal(payload, &e); err != nil || e.SchemaVersion != schema.Version {
-				c.metrics.Counter("cache.disk.invalid").Add(1)
-				_ = c.disk.Remove(key)
-				continue
-			}
-			if nk := cacheKey(e.Endpoint, e.Params, newFP); nk == key {
-				// Already keyed to the new fingerprint (written by the
-				// memory pass above, or a shared-disk peer).
-				continue
-			}
-			_ = c.disk.Remove(key)
-			rekey(key, &e)
-		}
-	}
-	c.metrics.Counter("cache.carried").Add(int64(carried))
-	c.metrics.Counter("cache.dropped").Add(int64(dropped))
-	return carried, dropped
 }

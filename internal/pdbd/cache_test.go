@@ -229,49 +229,40 @@ func TestCacheLeaderCancelRetry(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCacheInvalidate pins the disk sweep a reload runs: only entries
+// keyed to the new fingerprint survive in the journal, and an entry an
+// older daemon wrote with fields this one no longer has still decodes.
 func TestCacheInvalidate(t *testing.T) {
-	dir := t.TempDir()
-	j, err := durable.OpenJournal(durable.OS, dir)
+	j, err := durable.OpenJournal(durable.OS, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := obs.New("test")
-	c := newCache(64, j, m)
+	c := newCache(64, j, obs.New("test"))
 
 	oldFP, newFP := "fp-old", "fp-new"
-	mk := func(endpoint string, params []string, keys []string, global bool, body string) string {
-		e := testEntry(endpoint, params, body)
-		e.NodeKeys = keys
-		e.Global = global
-		k := cacheKey(endpoint, params, oldFP)
-		c.put(k, e)
-		return k
+	deps := []string{"cmd=deps", "file:a.cc"}
+	c.put(cacheKey("lint", []string{"format=text"}, oldFP), testEntry("lint", []string{"format=text"}, "lint-report"))
+	c.put(cacheKey("query", deps, oldFP), testEntry("query", deps, "deps-old"))
+	// Filed under a key its own content does not derive: swept too.
+	c.put(cacheKey("tree", nil, newFP), testEntry("html", nil, "misfiled"))
+	keep := cacheKey("query", deps, newFP)
+	legacy := fmt.Sprintf(`{"schema_version":%d,"endpoint":"query","params":["cmd=deps","file:a.cc"],`+
+		`"node_keys":["file:a.cc"],"content_type":"text/plain; charset=utf-8","body":"ZGVwcy1uZXc="}`, schema.Version)
+	if err := j.Store(keep, []byte(legacy)); err != nil {
+		t.Fatal(err)
 	}
-	kGlobal := mk("lint", []string{"format=text"}, nil, true, "lint-report")
-	kHit := mk("query", []string{"cmd=deps", "file:changed.cc"}, []string{"file:changed.cc"}, false, "deps-changed")
-	kMiss := mk("query", []string{"cmd=deps", "file:stable.cc"}, []string{"file:stable.cc"}, false, "deps-stable")
 
-	carried, dropped := c.invalidate(oldFP, newFP, map[string]bool{"file:changed.cc": true})
-	if carried != 1 || dropped != 2 {
-		t.Errorf("invalidate = (carried %d, dropped %d), want (1, 2)", carried, dropped)
-	}
-	for _, k := range []string{kGlobal, kHit, kMiss} {
-		if _, _, ok := c.get(k); ok {
-			t.Errorf("old-fingerprint key still serves after invalidate")
-		}
-	}
-	// The untouched entry was re-keyed to the new fingerprint — in
-	// memory and on disk.
-	nk := cacheKey("query", []string{"cmd=deps", "file:stable.cc"}, newFP)
-	if e, tier, ok := c.get(nk); !ok || string(e.Body) != "deps-stable" || tier != "mem" {
-		t.Fatalf("carried entry = (%v, %q, %v), want mem hit", e, tier, ok)
-	}
+	c.sweep(newFP)
 	keys, err := j.Keys()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 1 || keys[0] != nk {
-		t.Errorf("disk keys after invalidate = %v, want exactly [%s]", keys, nk)
+	if len(keys) != 1 || keys[0] != keep {
+		t.Errorf("disk keys after sweep = %v, want exactly [%s]", keys, keep)
+	}
+	fresh := newCache(64, j, obs.New("test2"))
+	if e, tier, ok := fresh.get(keep); !ok || tier != "disk" || string(e.Body) != "deps-new" {
+		t.Errorf("surviving entry = (%v, %q, %v), want disk hit with body deps-new", e, tier, ok)
 	}
 }
 

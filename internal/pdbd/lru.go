@@ -86,33 +86,6 @@ func (c *memCache) put(key string, e *entry) {
 	}
 }
 
-// remove drops an entry if present.
-func (c *memCache) remove(key string) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.order.Remove(el)
-		delete(s.items, key)
-	}
-}
-
-// snapshot returns every (key, entry) pair across the shards — the
-// iteration seam reload-time invalidation uses. Entries are copied out
-// under the shard locks; the caller mutates via put/remove afterwards.
-func (c *memCache) snapshot() map[string]*entry {
-	out := make(map[string]*entry)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, el := range s.items {
-			out[k] = el.Value.(*memItem).ent
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
 // len reports the number of cached entries.
 func (c *memCache) len() int {
 	n := 0

@@ -12,9 +12,9 @@
 // Responses flow through a two-tier content-addressed result cache
 // (see cache): a sharded in-memory LRU in front of an optional
 // on-disk durable journal, with single-flight coalescing of concurrent
-// misses. Keys embed the corpus content fingerprint, so a reload
-// (SIGHUP or POST /v1/reload) re-fingerprints the corpus, drops only
-// the entries the change could affect, and carries the rest forward.
+// misses. Keys embed the corpus content fingerprint. A reload (SIGHUP
+// or POST /v1/reload) that changes the content starts a fresh memory
+// tier and sweeps the disk tier down to the new fingerprint's keys.
 package pdbd
 
 import (
@@ -35,7 +35,6 @@ import (
 	"pdt/internal/corpus"
 	"pdt/internal/durable"
 	"pdt/internal/obs"
-	"pdt/internal/query"
 	"pdt/internal/schema"
 	"pdt/internal/taustream"
 )
@@ -69,18 +68,20 @@ type Config struct {
 // state is the immutable corpus-of-record a request sees: handlers
 // load it once and answer entirely from that snapshot, so a reload
 // mid-request yields a consistently old or consistently new answer,
-// never a mix.
+// never a mix. The memory tier of the result cache belongs to the
+// snapshot and leaves with it.
 type state struct {
 	corpus      *corpus.Corpus
 	fingerprint string
+	cache       *cache
 }
 
 // Server is the daemon. Create with New, expose with Handler.
 type Server struct {
 	cfg      Config
 	metrics  *obs.Metrics
-	cache    *cache
-	findings string // lint findings journal dir ("" = none)
+	disk     *durable.Journal // response journal (nil = memory-only)
+	findings string           // lint findings journal dir ("" = none)
 	mux      *http.ServeMux
 
 	// profile is the live TAU-stream aggregate. It outlives corpus
@@ -132,16 +133,14 @@ func NewDeferred(cfg Config) (*Server, error) {
 		s.ingestMax = DefaultIngestMaxBytes
 	}
 
-	var disk *durable.Journal
 	if cfg.CacheDir != "" {
 		var err error
-		disk, err = durable.OpenJournal(durable.OS, filepath.Join(cfg.CacheDir, "responses"))
+		s.disk, err = durable.OpenJournal(durable.OS, filepath.Join(cfg.CacheDir, "responses"))
 		if err != nil {
 			return nil, err
 		}
 		s.findings = filepath.Join(cfg.CacheDir, "findings")
 	}
-	s.cache = newCache(cfg.MemEntries, disk, s.metrics)
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
@@ -167,8 +166,14 @@ func (s *Server) LoadCorpus(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	s.st.Store(&state{corpus: c, fingerprint: c.Fingerprint()})
+	s.st.Store(s.newState(c))
 	return nil
+}
+
+// newState wraps an opened corpus in a snapshot with an empty memory
+// tier over the daemon's disk journal.
+func (s *Server) newState(c *corpus.Corpus) *state {
+	return &state{corpus: c, fingerprint: c.Fingerprint(), cache: newCache(s.cfg.MemEntries, s.disk, s.metrics)}
 }
 
 // Handler returns the daemon's HTTP handler.
@@ -270,37 +275,18 @@ func formatParam(r *http.Request) (string, error) {
 	return f, nil
 }
 
-// entryMeta classifies a query's invalidation footprint from its
-// argument specs. Specs in exact "kind:name" form are recorded as the
-// entry's node keys — a reload drops the entry only when one of those
-// nodes is in the affected closure of the change. Any looser spec
-// (bare names, path bases) can start matching new nodes a change
-// introduces, so the entry conservatively becomes global: dropped on
-// every content change.
-func entryMeta(args []string) (nodeKeys []string, global bool) {
-	for _, a := range args {
-		if strings.Contains(a, ":") {
-			nodeKeys = append(nodeKeys, a)
-		} else {
-			global = true
-		}
-	}
-	return nodeKeys, global
-}
-
 // serveCached answers one cacheable request: probe the two cache
 // tiers, coalesce concurrent misses, compute at most once per flight,
 // and stamp the cache disposition and corpus fingerprint headers.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, st *state,
-	endpoint string, params []string, nodeKeys []string, global bool,
-	contentType string, render func() ([]byte, error)) {
+	endpoint string, params []string, contentType string, render func() ([]byte, error)) {
 
 	// Stamp the corpus epoch on every response — errors included — so
 	// clients can always tell which corpus version answered.
 	w.Header().Set("X-Pdbd-Fingerprint", st.fingerprint)
 
 	key := cacheKey(endpoint, params, st.fingerprint)
-	e, tier, err := s.cache.do(r.Context(), key, func() (*entry, error) {
+	e, tier, err := st.cache.do(r.Context(), key, func() (*entry, error) {
 		body, err := render()
 		if err != nil {
 			return nil, err
@@ -309,8 +295,6 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, st *state,
 			SchemaVersion: schema.Version,
 			Endpoint:      endpoint,
 			Params:        params,
-			NodeKeys:      nodeKeys,
-			Global:        global,
 			ContentType:   contentType,
 			Body:          body,
 		}, nil
@@ -376,21 +360,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		SchemaVersion: schema.Version,
 		Status:        "ok",
 		Paths:         s.cfg.Paths,
-		CacheEntries:  s.cache.mem.len(),
 	}
 	code := http.StatusOK
 	st := s.st.Load()
-	switch {
-	case st == nil:
+	if st == nil {
 		body.Status, code = "loading", http.StatusServiceUnavailable
-	case s.reloading.Load():
-		// The old corpus still answers queries during a reload, but a
-		// balancer asking "should I send NEW traffic here?" gets told to
-		// prefer a replica that isn't mid-rebuild.
-		body.Status, code = "reloading", http.StatusServiceUnavailable
-		body.Fingerprint = st.fingerprint
-	default:
-		body.Fingerprint = st.fingerprint
+	} else {
+		body.Fingerprint, body.CacheEntries = st.fingerprint, st.cache.mem.len()
+		if s.reloading.Load() {
+			// The old corpus still answers queries during a reload, but a
+			// balancer asking "should I send NEW traffic here?" gets told
+			// to prefer a replica that isn't mid-rebuild.
+			body.Status, code = "reloading", http.StatusServiceUnavailable
+		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if code != http.StatusOK {
@@ -480,11 +462,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request, cmd string, args 
 		return
 	}
 	params := append([]string{"format=" + format, "depth=" + strconv.Itoa(depth), "cmd=" + cmd}, args...)
-	nodeKeys, global := entryMeta(args)
-	if cmd == corpus.CmdNodes {
-		global = true
-	}
-	s.serveCached(w, r, st, "query", params, nodeKeys, global, contentTypeFor(format), func() ([]byte, error) {
+	s.serveCached(w, r, st, "query", params, contentTypeFor(format), func() ([]byte, error) {
 		res, err := st.corpus.Query(r.Context(), corpus.QueryRequest{Command: cmd, Args: args, Depth: depth})
 		if err != nil {
 			return nil, err
@@ -535,7 +513,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	params := append([]string{"format=" + format, "template-bloat=" + strconv.Itoa(bloat)}, passes...)
-	s.serveCached(w, r, st, "lint", params, nil, true, contentTypeFor(format), func() ([]byte, error) {
+	s.serveCached(w, r, st, "lint", params, contentTypeFor(format), func() ([]byte, error) {
 		req := corpus.LintRequest{Passes: passes, TemplateBloat: bloat, Changed: changed}
 		if s.findings != "" {
 			req.FindingsDB = s.findings
@@ -568,7 +546,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 		"classes=" + strconv.FormatBool(req.Classes),
 		"calls=" + strconv.FormatBool(req.Calls),
 	}
-	s.serveCached(w, r, st, "tree", params, nil, true, "text/plain; charset=utf-8", func() ([]byte, error) {
+	s.serveCached(w, r, st, "tree", params, "text/plain; charset=utf-8", func() ([]byte, error) {
 		var buf bytes.Buffer
 		if err := st.corpus.WriteTree(&buf, req); err != nil {
 			return nil, err
@@ -587,7 +565,7 @@ func (s *Server) handleHTML(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, st, "html", []string{"page=" + page, "src=" + strconv.FormatBool(s.cfg.HTMLSource)},
-		nil, true, "text/html; charset=utf-8", func() ([]byte, error) {
+		"text/html; charset=utf-8", func() ([]byte, error) {
 			return st.corpus.HTMLPage(page, s.cfg.HTMLSource)
 		})
 }
@@ -595,9 +573,10 @@ func (s *Server) handleHTML(w http.ResponseWriter, r *http.Request) {
 // --- reload -----------------------------------------------------------------
 
 // ReloadSummary reports what a reload did: the fingerprint epoch
-// transition, which units changed, and how the result cache fared —
-// how many entries the change invalidated and how many were provably
-// untouched and carried over to keep serving warm.
+// transition, which units changed, and how many memory-tier entries
+// the old snapshot took with it. CacheCarried is always 0 (a changed
+// corpus starts a fresh memory tier); it stays so the JSON schema does
+// not change.
 type ReloadSummary struct {
 	SchemaVersion  int      `json:"schema_version"`
 	OldFingerprint string   `json:"old_fingerprint"`
@@ -608,15 +587,14 @@ type ReloadSummary struct {
 	CacheDropped   int      `json:"cache_dropped"`
 }
 
-// Reload re-opens the corpus from the configured paths, swaps it in
-// atomically, and invalidates exactly the cache entries the content
-// change could affect: the drop set is the affected closure of the
-// changed units on BOTH the old and the new dependency graph (old
-// catches severed edges, new catches added ones), plus every global
-// entry. Everything else is re-keyed to the new fingerprint.
+// Reload re-opens the corpus from the configured paths and, if its
+// content changed, swaps in a new snapshot with a fresh memory tier,
+// then sweeps the disk tier down to the new fingerprint's keys. The
+// new corpus builds its graph lazily, on first use, as at load.
 //
-// In-flight requests keep answering from the corpus snapshot they
-// loaded; new requests see the new corpus as soon as the swap lands.
+// In-flight requests keep answering from the snapshot they loaded,
+// memory tier included; new requests see the new corpus as soon as
+// the swap lands.
 func (s *Server) Reload(ctx context.Context) (*ReloadSummary, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -643,43 +621,26 @@ func (s *Server) Reload(ctx context.Context) (*ReloadSummary, error) {
 		SchemaVersion:  schema.Version,
 		OldFingerprint: old.fingerprint,
 		Fingerprint:    c.Fingerprint(),
+		ChangedUnits:   []string{},
 	}
 	if sum.Fingerprint == sum.OldFingerprint {
 		// Identical content: keep the old corpus (its lazily built
 		// graph and fingerprints stay warm) and touch nothing.
 		sum.Unchanged = true
-		sum.ChangedUnits = []string{}
 		return sum, nil
 	}
-
-	changed := c.Fingerprints().ChangedUnits(old.corpus.Fingerprints())
-	sum.ChangedUnits = changed
-	if sum.ChangedUnits == nil {
-		sum.ChangedUnits = []string{}
+	if changed := c.Fingerprints().ChangedUnits(old.corpus.Fingerprints()); changed != nil {
+		sum.ChangedUnits = changed
 	}
 
-	drop := make(map[string]bool, len(changed))
-	for _, u := range changed {
-		drop["file:"+u] = true
-	}
-	collect := func(g *query.Graph, gerr error) error {
-		if gerr != nil {
-			return gerr
-		}
-		for _, n := range g.Affected(changed).Nodes() {
-			drop[n.Key()] = true
-		}
-		return nil
-	}
-	if err := collect(old.corpus.Graph(ctx)); err != nil {
-		return nil, fmt.Errorf("reload: %w", err)
-	}
-	if err := collect(c.Graph(ctx)); err != nil {
-		return nil, fmt.Errorf("reload: %w", err)
-	}
-
-	sum.CacheCarried, sum.CacheDropped = s.cache.invalidate(old.fingerprint, sum.Fingerprint, drop)
-	s.st.Store(&state{corpus: c, fingerprint: sum.Fingerprint})
+	// Swap first, then sweep: requests on the new snapshot never see
+	// their keys swept, and requests still on the old one answer from
+	// its own memory tier, so no answer is computed twice.
+	st := s.newState(c)
+	s.st.Store(st)
+	st.cache.sweep(sum.Fingerprint)
+	sum.CacheDropped = old.cache.mem.len()
+	s.metrics.Counter("cache.dropped").Add(int64(sum.CacheDropped))
 	s.metrics.Counter("reload.count").Add(1)
 	return sum, nil
 }

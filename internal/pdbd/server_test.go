@@ -10,7 +10,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pdt/internal/ductape"
 	"pdt/internal/obs"
@@ -199,18 +201,25 @@ func TestServerCacheTiers(t *testing.T) {
 	}
 }
 
+// TestServerReloadInvalidation pins the reload contract: a changed
+// corpus starts a fresh memory tier, so every warm entry — exact-spec
+// query, bare-name lookup, corpus-global lint, and one whose answer the
+// change alters — computes once more and then serves warm again.
 func TestServerReloadInvalidation(t *testing.T) {
 	s, path := newTestServer(t, testRaw(false), t.TempDir())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Warm the cache: one entry per cluster (exact-form specs, so the
-	// entries are per-node, not global), plus a global lint entry.
-	urlStable := ts.URL + "/v1/query/deps?node=file:main.cc"
 	urlChanged := ts.URL + "/v1/query/affected?file=file:c.h"
-	get(t, urlStable)
-	get(t, urlChanged)
-	get(t, ts.URL+"/v1/lint")
+	urls := []string{
+		ts.URL + "/v1/query/deps?node=file:main.cc",
+		ts.URL + "/v1/lookup?node=helper()",
+		ts.URL + "/v1/lint",
+		urlChanged,
+	}
+	for _, u := range urls {
+		get(t, u)
+	}
 	_, before, _ := get(t, urlChanged)
 
 	// Change cluster 2 only (a new routine in c.h) and reload.
@@ -230,22 +239,19 @@ func TestServerReloadInvalidation(t *testing.T) {
 	if len(sum.ChangedUnits) != 1 || sum.ChangedUnits[0] != "c.h" {
 		t.Errorf("changed units = %v, want [c.h]", sum.ChangedUnits)
 	}
-	// The cluster-1 entry is provably untouched and carried; the
-	// cluster-2 entry and the global lint entry are dropped.
-	if sum.CacheCarried < 1 || sum.CacheDropped < 2 {
-		t.Errorf("cache carried %d dropped %d, want >=1 carried and >=2 dropped",
-			sum.CacheCarried, sum.CacheDropped)
+	if sum.CacheCarried != 0 || sum.CacheDropped != len(urls) {
+		t.Errorf("cache carried %d dropped %d, want 0 carried and %d dropped",
+			sum.CacheCarried, sum.CacheDropped, len(urls))
 	}
 
-	// Carried: still a cache hit under the new fingerprint.
-	if _, _, tier := get(t, urlStable); tier != "mem" {
-		t.Errorf("untouched entry tier after reload = %q, want mem", tier)
+	for _, u := range urls {
+		for _, want := range []string{"miss", "mem"} {
+			if code, _, tier := get(t, u); code != http.StatusOK || tier != want {
+				t.Errorf("GET %s after reload = (%d, %q), want (200, %q)", u, code, tier, want)
+			}
+		}
 	}
-	// Dropped: recomputed, and the new answer reflects the change.
-	code, after, tier := get(t, urlChanged)
-	if code != http.StatusOK || tier != "miss" {
-		t.Errorf("changed entry after reload = (%d, %q), want recompute", code, tier)
-	}
+	_, after, _ := get(t, urlChanged)
 	if after == before {
 		t.Error("affected set did not change after the corpus changed")
 	}
@@ -264,6 +270,92 @@ func TestServerReloadInvalidation(t *testing.T) {
 	resp.Body.Close()
 	if !sum.Unchanged {
 		t.Errorf("identical reload not reported unchanged: %+v", sum)
+	}
+	for _, u := range urls {
+		if _, _, tier := get(t, u); tier != "mem" {
+			t.Errorf("GET %s after identical reload = %q, want mem", u, tier)
+		}
+	}
+}
+
+// TestServerReloadTrafficComputesOncePerKey runs concurrent GETs across
+// several reloads, each to new content, and counts the requests that
+// computed their answer (X-Pdbd-Cache: miss) per URL and fingerprint.
+// Each must compute at most once: a request still holding the old
+// snapshot must find that snapshot's answers, not recompute them.
+func TestServerReloadTrafficComputesOncePerKey(t *testing.T) {
+	s, path := newTestServer(t, testRaw(false), t.TempDir())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	urls := []string{
+		"/v1/query/deps?node=file:main.cc",
+		"/v1/query/affected?file=file:c.h",
+		"/v1/lookup?node=work()",
+		"/v1/tree?calls",
+		"/v1/lint",
+	}
+	var mu sync.Mutex
+	computes := map[string]int{} // url + fingerprint -> misses
+	var served atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	// finish stops the clients, also when a Fatal below ends the test.
+	finish := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer finish()
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			client := &http.Client{}
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				u := urls[(i+n)%len(urls)]
+				resp, err := client.Get(ts.URL + u)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s = %d", u, resp.StatusCode)
+					return
+				}
+				if resp.Header.Get("X-Pdbd-Cache") == "miss" {
+					mu.Lock()
+					computes[u+" @ "+resp.Header.Get("X-Pdbd-Fingerprint")]++
+					mu.Unlock()
+				}
+				served.Add(1)
+			}
+		}(i)
+	}
+
+	for round := 0; round < 8; round++ {
+		// Let traffic run against the current snapshot first.
+		deadline := time.Now().Add(10 * time.Second)
+		for want := served.Load() + 50; served.Load() < want && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		// Every round renames the added routine, so no fingerprint
+		// repeats and each key has exactly one snapshot to live in.
+		raw := testRaw(true)
+		raw.Routines[len(raw.Routines)-1].Name = fmt.Sprintf("extra%d", round)
+		saveRaw(t, path, raw)
+		if sum, err := s.Reload(context.Background()); err != nil || sum.Unchanged {
+			t.Fatalf("reload %d = (%+v, %v)", round, sum, err)
+		}
+	}
+	finish()
+	for k, n := range computes {
+		if n > 1 {
+			t.Errorf("%s computed %d times, want at most 1", k, n)
+		}
 	}
 }
 
@@ -349,29 +441,6 @@ func TestServerConcurrentReload(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-func TestServerLookupWithNonExactSpecIsGlobal(t *testing.T) {
-	// A bare-name lookup can start matching new nodes after a reload,
-	// so its cache entry must be global: dropped on ANY change, even
-	// one in the "other" cluster.
-	s, path := newTestServer(t, testRaw(false), "")
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	url := ts.URL + "/v1/lookup?node=helper()"
-	get(t, url)
-	saveRaw(t, path, testRaw(true))
-	sum, err := s.Reload(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.CacheDropped == 0 {
-		t.Fatalf("bare-name lookup entry survived a reload: %+v", sum)
-	}
-	if _, _, tier := get(t, url); tier != "miss" {
-		t.Errorf("bare-name lookup tier after reload = %q, want miss", tier)
-	}
 }
 
 func TestServerLintIncrementalFindings(t *testing.T) {
