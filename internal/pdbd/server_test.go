@@ -278,6 +278,31 @@ func TestServerReloadInvalidation(t *testing.T) {
 	}
 }
 
+// TestServerLookupWithNonExactSpecIsGlobal checks that a bare-name
+// lookup, whose matches a reload can change anywhere in the corpus, does
+// not outlive a changed reload: it computes once more, then serves warm.
+func TestServerLookupWithNonExactSpecIsGlobal(t *testing.T) {
+	s, path := newTestServer(t, testRaw(false), "")
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	url := ts.URL + "/v1/lookup?node=helper()"
+	get(t, url)
+	saveRaw(t, path, testRaw(true))
+	sum, err := s.Reload(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.CacheCarried != 0 || sum.CacheDropped != 1 {
+		t.Fatalf("bare-name lookup entry survived a reload: %+v", sum)
+	}
+	for _, want := range []string{"miss", "mem"} {
+		if _, _, tier := get(t, url); tier != want {
+			t.Errorf("bare-name lookup tier after reload = %q, want %q", tier, want)
+		}
+	}
+}
+
 // TestServerReloadTrafficComputesOncePerKey runs concurrent GETs across
 // several reloads, each to new content, and counts the requests that
 // computed their answer (X-Pdbd-Cache: miss) per URL and fingerprint.
