@@ -8,7 +8,7 @@
 //	B5  BenchmarkCallGraph*               — call-graph traversal (Figure 5 algorithm)
 //	B6  BenchmarkInstrumentation*         — TAU instrumentation overhead (Figure 7)
 //	B7  BenchmarkBridgeCall*              — SILOON bridge call overhead (Figure 8)
-//	D2  BenchmarkTemplateOrigin*          — location scan vs direct template IDs
+//	D2  BenchmarkTemplateOrigin*          — location match vs direct template IDs
 package pdt_test
 
 import (
@@ -371,11 +371,13 @@ func BenchmarkScriptOnlyCall(b *testing.B) {
 	}
 }
 
-// --- D2: template-origin matching: location scan vs direct IDs -----------------------
+// --- D2: template-origin matching: location match vs direct IDs ----------------------
 
-// The scan cost grows with the number of *templates* in the pre-built
-// list (the paper's §3.1 structure), so the workload declares many
-// distinct templates, each instantiated.
+// The workload declares many distinct templates, each instantiated:
+// location matching looks up each instantiation in the pre-built
+// template list (the paper's §3.1 structure), indexed by file, and
+// direct IDs follow a pointer. 4000 is the compile workload's largest
+// GenManyTemplates size.
 func benchmarkTemplateOrigin(b *testing.B, mode ilanalyzer.OriginMode, k int) {
 	src := workload.GenManyTemplates(k)
 	res := compile(b, map[string]string{"gen.cpp": src}, "gen.cpp", sema.Used)
@@ -399,6 +401,14 @@ func BenchmarkTemplateOriginScan256(b *testing.B) {
 
 func BenchmarkTemplateOriginDirect256(b *testing.B) {
 	benchmarkTemplateOrigin(b, ilanalyzer.OriginDirect, 256)
+}
+
+func BenchmarkTemplateOriginScan4000(b *testing.B) {
+	benchmarkTemplateOrigin(b, ilanalyzer.OriginScan, 4000)
+}
+
+func BenchmarkTemplateOriginDirect4000(b *testing.B) {
+	benchmarkTemplateOrigin(b, ilanalyzer.OriginDirect, 4000)
 }
 
 // --- E8 shape check as a benchmark-time assertion -------------------------------------

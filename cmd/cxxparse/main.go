@@ -33,7 +33,7 @@ func main() {
 	var includes, defines stringList
 	out := flag.String("o", "", "output PDB file (default: stdout)")
 	eager := flag.Bool("eager", false, "instantiate all template members (EDG automatic mode) instead of used-only")
-	direct := flag.Bool("direct-origin", false, "link instantiations to templates via direct IL IDs instead of the location scan")
+	direct := flag.Bool("direct-origin", false, "link instantiations to templates via direct IL IDs instead of the location match")
 	verbose := flag.Bool("v", false, "print frontend statistics")
 	check := flag.Bool("check", false, "validate the referential integrity of the generated PDB")
 	flag.Var(&includes, "I", "add an include search directory (repeatable)")

@@ -757,10 +757,8 @@ func (c *bodyCtx) findRoutines(name string) []*il.Routine {
 // findFuncTemplate finds a free function template by name.
 func (c *bodyCtx) findFuncTemplate(name string) *il.Template {
 	for _, ns := range c.s.nsChain() {
-		for _, t := range ns.Templates {
-			if t.Name == name && t.Kind == il.TemplFunc {
-				return t
-			}
+		if t := c.s.templateIn(ns, name, il.TemplFunc); t != nil {
+			return t
 		}
 	}
 	return nil

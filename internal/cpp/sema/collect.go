@@ -222,14 +222,41 @@ func (s *Sema) lookupMemberTemplate(classT *il.Template, name string) *il.Templa
 	return nil
 }
 
+// registerTemplate adds t to its scope's and the unit's template lists
+// and indexes it if it is the first of its name and kind in either.
 func (s *Sema) registerTemplate(t *il.Template) {
 	switch p := t.Parent.(type) {
 	case *il.Namespace:
 		p.Templates = append(p.Templates, t)
+		s.indexTemplate(p, t)
 	case *il.Class:
 		p.Templates = append(p.Templates, t)
+		s.indexTemplate(p, t)
 	}
 	s.unit.AllTemplates = append(s.unit.AllTemplates, t)
+	s.indexTemplate(nil, t)
+}
+
+// templateKey names the templates of one name and kind in one scope; a
+// nil scope stands for the whole unit.
+type templateKey struct {
+	scope il.Scope
+	name  string
+	kind  il.TemplateKind
+}
+
+func (s *Sema) indexTemplate(scope il.Scope, t *il.Template) {
+	k := templateKey{scope, t.Name, t.Kind}
+	if _, ok := s.firstTemplate[k]; !ok {
+		s.firstTemplate[k] = t
+	}
+}
+
+// templateIn returns the first template registered in scope (nil: in
+// the unit) with the given name and kind: what a walk of that scope's
+// template list would find.
+func (s *Sema) templateIn(scope il.Scope, name string, kind il.TemplateKind) *il.Template {
+	return s.firstTemplate[templateKey{scope, name, kind}]
 }
 
 // collectClassSpecialization resolves "template<> class Stack<int>"

@@ -150,7 +150,7 @@ func (s *Sema) resolveNamedType(q ast.QualName, b bindings, te *ast.NamedType) *
 	switch sc := scope.(type) {
 	case *il.Namespace:
 		if seg.HasArgs {
-			if tmpl := findTemplateIn(sc, seg.Name); tmpl != nil {
+			if tmpl := s.templateIn(sc, seg.Name, il.TemplClass); tmpl != nil {
 				args := s.resolveTemplateArgs(seg.Args, b)
 				if c := s.instantiateClass(tmpl, args, seg.Loc); c != nil {
 					return tt.ClassType(c)
@@ -200,7 +200,7 @@ func (s *Sema) resolveScopeSeg(scope il.Scope, seg ast.Seg, b bindings) il.Scope
 		if scope == nil {
 			tmpl = s.lookupTemplateByName(seg.Name)
 		} else if ns, ok := scope.(*il.Namespace); ok {
-			tmpl = findTemplateIn(ns, seg.Name)
+			tmpl = s.templateIn(ns, seg.Name, il.TemplClass)
 		}
 		if tmpl == nil {
 			return nil
@@ -347,34 +347,16 @@ func (s *Sema) lookupTypeInClass(c *il.Class, name string) *il.Type {
 // chain, then the whole unit.
 func (s *Sema) lookupTemplateByName(name string) *il.Template {
 	for _, c := range s.currentScopeChain() {
-		for _, t := range c.Templates {
-			if t.Name == name && t.Kind == il.TemplClass {
-				return t
-			}
+		if t := s.templateIn(c, name, il.TemplClass); t != nil {
+			return t
 		}
 	}
 	for _, ns := range s.nsChain() {
-		for _, t := range ns.Templates {
-			if t.Name == name && t.Kind == il.TemplClass {
-				return t
-			}
-		}
-	}
-	for _, t := range s.unit.AllTemplates {
-		if t.Name == name && t.Kind == il.TemplClass {
+		if t := s.templateIn(ns, name, il.TemplClass); t != nil {
 			return t
 		}
 	}
-	return nil
-}
-
-func findTemplateIn(ns *il.Namespace, name string) *il.Template {
-	for _, t := range ns.Templates {
-		if t.Name == name && t.Kind == il.TemplClass {
-			return t
-		}
-	}
-	return nil
+	return s.templateIn(nil, name, il.TemplClass)
 }
 
 // lookupNamespace resolves a namespace path from the current chain.

@@ -63,16 +63,14 @@ func (s *Sema) collectFunctionTemplate(fd *ast.FunctionDecl, access ast.Access) 
 	ns := s.currentNS()
 	name := fd.Name.Terminal().Name
 	// Merge declaration/definition pairs.
-	for _, t := range ns.Templates {
-		if t.Name == name && t.Kind == il.TemplFunc {
-			if fd.Body != nil && (t.FuncDecl == nil || t.FuncDecl.Body == nil) {
-				t.FuncDecl = fd
-				t.Text = fd.Template.Text
-				t.Header = fd.Header
-				t.Body = fd.Body2
-			}
-			return
+	if t := s.templateIn(ns, name, il.TemplFunc); t != nil {
+		if fd.Body != nil && (t.FuncDecl == nil || t.FuncDecl.Body == nil) {
+			t.FuncDecl = fd
+			t.Text = fd.Template.Text
+			t.Header = fd.Header
+			t.Body = fd.Body2
 		}
+		return
 	}
 	t := &il.Template{
 		Name: name, Kind: il.TemplFunc, Parent: ns, Access: access,

@@ -69,6 +69,10 @@ type Sema struct {
 	// of its member functions (PDB memfunc/statmem items).
 	memberTemplates map[*il.Template]map[string]*il.Template
 
+	// firstTemplate indexes the first template of each name and kind
+	// per scope and per unit (see registerTemplate).
+	firstTemplate map[templateKey]*il.Template
+
 	// instantiation caches
 	classInsts map[string]*il.Class // key: qualified instantiated name
 
@@ -86,12 +90,13 @@ type Sema struct {
 // New returns an analyzer producing into a fresh unit for main.
 func New(main *source.File, opts Options) *Sema {
 	return &Sema{
-		unit:       il.NewUnit(main),
-		opts:       opts,
-		memberDefs: map[*il.Template]map[string][]*ast.FunctionDecl{},
-		classInsts: map[string]*il.Class{},
-		analyzed:   map[*il.Routine]bool{},
-		enumConsts: map[string]int64{},
+		unit:          il.NewUnit(main),
+		opts:          opts,
+		memberDefs:    map[*il.Template]map[string][]*ast.FunctionDecl{},
+		classInsts:    map[string]*il.Class{},
+		firstTemplate: map[templateKey]*il.Template{},
+		analyzed:      map[*il.Routine]bool{},
+		enumConsts:    map[string]int64{},
 	}
 }
 

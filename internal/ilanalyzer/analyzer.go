@@ -3,8 +3,8 @@
 // database (internal/pdb). Mirroring the paper, it performs *separate
 // traversals* for source files, templates, routines, classes, types,
 // namespaces, and macros, and it determines the template an
-// instantiation came from by scanning a pre-built template list and
-// matching source locations — because the IL records that an entity
+// instantiation came from by matching source locations against a
+// pre-built template list — because the IL records that an entity
 // *is* an instantiation, not which template produced it.
 //
 // The paper notes the location scan cannot attribute explicit
@@ -17,6 +17,8 @@
 package ilanalyzer
 
 import (
+	"math"
+	"slices"
 	"strings"
 
 	"pdt/internal/cpp/ast"
@@ -30,8 +32,8 @@ import (
 type OriginMode int
 
 const (
-	// OriginScan matches instantiations to templates by scanning the
-	// template list for a definition span containing the
+	// OriginScan matches instantiations to templates by finding, in
+	// the template list, the narrowest definition span containing the
 	// instantiation's location (the paper's implementation).
 	OriginScan OriginMode = iota
 	// OriginDirect follows the IL's direct back-pointers (the paper's
@@ -57,8 +59,9 @@ type Analyzer struct {
 	namespaceIDs map[*il.Namespace]int
 
 	// templateSpans is the pre-built template list for the location
-	// scan: (template, definition span).
+	// match: (template, definition span). origins indexes it by file.
 	templateSpans []templateSpan
+	origins       map[*source.File]*fileOrigins
 }
 
 type templateSpan struct {
@@ -82,7 +85,9 @@ func New(unit *il.Unit, opts Options) *Analyzer {
 func Analyze(unit *il.Unit, opts Options) *pdb.PDB {
 	a := New(unit, opts)
 	a.assignIDs()
-	a.buildTemplateList()
+	if opts.TemplateOrigin == OriginScan {
+		a.buildTemplateList()
+	}
 	a.emitFiles()
 	a.emitTemplates()
 	a.emitRoutines()
@@ -125,8 +130,11 @@ func (a *Analyzer) assignIDs() {
 // buildTemplateList prepares the scan table: the paper's "list of
 // templates [created] in advance". Spans come from the unit's
 // supplemental location table — deliberately not from the template
-// node itself (§3.1).
+// node itself (§3.1). It then indexes the list by file, so that
+// finding an instantiation's template is one lookup, not a walk of the
+// whole list.
 func (a *Analyzer) buildTemplateList() {
+	a.templateSpans = make([]templateSpan, 0, len(a.unit.AllTemplates))
 	for _, t := range a.unit.AllTemplates {
 		span, ok := a.unit.SuppLocs[t]
 		if !ok {
@@ -134,36 +142,126 @@ func (a *Analyzer) buildTemplateList() {
 		}
 		a.templateSpans = append(a.templateSpans, templateSpan{t: t, span: span})
 	}
+	a.origins = indexOrigins(a.templateSpans)
 }
 
-// scanForTemplate finds the template whose definition span contains
+// templateForLoc finds the template whose definition span contains
 // loc. This reproduces the paper's matching: instantiations carry their
 // template's source location, so containment identifies the origin;
 // specializations live outside any template's span and find nothing.
-func (a *Analyzer) scanForTemplate(loc source.Loc) *il.Template {
-	var best *il.Template
-	bestSize := 1 << 30
-	for _, ts := range a.templateSpans {
-		if !ts.span.Valid() || loc.File != ts.span.Begin.File {
+//
+// Containment is by line only. Member-function templates defined
+// in-class nest inside the class template's span; the narrowest
+// containing span is the correct origin (Figure 3: ro#7 push links to
+// te#566 push, not te#559 Stack). A tie goes to the span that comes
+// first in the template list.
+func (a *Analyzer) templateForLoc(loc source.Loc) *il.Template {
+	if fo := a.origins[loc.File]; fo != nil {
+		return fo.lookup(loc.Line)
+	}
+	return nil
+}
+
+// openSpanSize is the size of a span with no valid end: it contains
+// every line from its begin on, and any finite span narrower than this
+// beats it.
+const openSpanSize = 1 << 29
+
+// fileOrigins holds the origin of every line of one file. The lines are
+// cut into segments at each span's begin line and at the line after
+// each span's end, so every line of a segment lies in the same spans
+// and has the same origin.
+type fileOrigins struct {
+	starts []int          // first line of each segment, ascending
+	owner  []*il.Template // origin of the lines starts[i] .. starts[i+1]-1
+}
+
+func (fo *fileOrigins) lookup(line int) *il.Template {
+	i, found := slices.BinarySearch(fo.starts, line)
+	if !found {
+		if i == 0 {
+			return nil
+		}
+		i--
+	}
+	return fo.owner[i]
+}
+
+// originSpan is one template span of a file, ready to paint; last is
+// math.MaxInt for a span with no valid end.
+type originSpan struct {
+	t                 *il.Template
+	first, last, size int
+}
+
+// indexOrigins builds the per-file origin tables in O(n log n) for n
+// spans. The spans of a file are painted narrowest first, ties in list
+// order, and each segment keeps the first span that reaches it: that is
+// the span the narrowest-containing-span rule picks for its lines.
+func indexOrigins(spans []templateSpan) map[*source.File]*fileOrigins {
+	byFile := map[*source.File][]originSpan{}
+	for _, ts := range spans {
+		if !ts.span.Valid() {
 			continue
 		}
-		if loc.Line < ts.span.Begin.Line || (ts.span.End.Valid() && loc.Line > ts.span.End.Line) {
-			continue
-		}
-		// Member-function templates defined in-class nest inside the
-		// class template's span; the narrowest containing span is the
-		// correct origin (Figure 3: ro#7 push links to te#566 push,
-		// not te#559 Stack).
-		size := 1 << 29
+		sp := originSpan{t: ts.t, first: ts.span.Begin.Line, last: math.MaxInt, size: openSpanSize}
 		if ts.span.End.Valid() {
-			size = ts.span.End.Line - ts.span.Begin.Line
+			sp.last = ts.span.End.Line
+			sp.size = sp.last - sp.first
+			// A span ending before it begins contains no line, and the
+			// match ignores spans 1<<30 or more lines wide.
+			if sp.size < 0 || sp.size >= 1<<30 {
+				continue
+			}
 		}
-		if size < bestSize {
-			bestSize = size
-			best = ts.t
+		f := ts.span.Begin.File
+		byFile[f] = append(byFile[f], sp)
+	}
+	out := make(map[*source.File]*fileOrigins, len(byFile))
+	for f, sps := range byFile {
+		out[f] = paintOrigins(sps)
+	}
+	return out
+}
+
+func paintOrigins(sps []originSpan) *fileOrigins {
+	starts := make([]int, 0, 2*len(sps))
+	for _, sp := range sps {
+		starts = append(starts, sp.first)
+		if sp.last < math.MaxInt {
+			starts = append(starts, sp.last+1)
 		}
 	}
-	return best
+	slices.Sort(starts)
+	starts = slices.Compact(starts)
+	fo := &fileOrigins{starts: starts, owner: make([]*il.Template, len(starts))}
+
+	// next[i] leads, through path-halving, to the first unpainted
+	// segment at or after i; len(starts) means none is left.
+	next := make([]int, len(starts)+1)
+	for i := range next {
+		next[i] = i
+	}
+	find := func(i int) int {
+		for next[i] != i {
+			next[i] = next[next[i]]
+			i = next[i]
+		}
+		return i
+	}
+	slices.SortStableFunc(sps, func(x, y originSpan) int { return x.size - y.size })
+	for _, sp := range sps {
+		lo, _ := slices.BinarySearch(starts, sp.first)
+		hi := len(starts)
+		if sp.last < math.MaxInt {
+			hi, _ = slices.BinarySearch(starts, sp.last+1)
+		}
+		for i := find(lo); i < hi; i = find(i) {
+			fo.owner[i] = sp.t
+			next[i] = i + 1
+		}
+	}
+	return fo
 }
 
 // originOf resolves the template reference for an instantiated entity
@@ -177,7 +275,7 @@ func (a *Analyzer) originOf(direct *il.Template, loc source.Loc, isSpecializatio
 			// The paper-faithful scan cannot attribute specializations.
 			return pdb.Ref{}
 		}
-		return a.templateRef(a.scanForTemplate(loc))
+		return a.templateRef(a.templateForLoc(loc))
 	}
 }
 
@@ -494,11 +592,18 @@ func (a *Analyzer) emitNamespaces() {
 			}
 			a.out.Namespaces = append(a.out.Namespaces, item)
 		}
-		for name, target := range ns.Aliases {
+		// Aliases in name order: ranging over the map would number
+		// them differently from run to run.
+		names := make([]string, 0, len(ns.Aliases))
+		for name := range ns.Aliases {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		for _, name := range names {
 			a.out.Namespaces = append(a.out.Namespaces, &pdb.Namespace{
 				ID:    len(a.namespaceIDs) + len(a.out.Namespaces) + 1,
 				Name:  name,
-				Alias: target.QualifiedName(),
+				Alias: ns.Aliases[name].QualifiedName(),
 			})
 		}
 		for _, sub := range ns.Namespaces {

@@ -491,3 +491,36 @@ func TestAnalyzerOutputValidates(t *testing.T) {
 		}
 	}
 }
+
+// TestNamespaceAliasesDeterministic compiles a unit with four global
+// namespace aliases repeatedly: the alias items, and their IDs, must
+// come out in name order and in the same bytes every time.
+func TestNamespaceAliasesDeterministic(t *testing.T) {
+	src := `
+namespace alpha { int a; }
+namespace beta { int b; }
+namespace gamma { int c; }
+namespace delta { int d; }
+namespace Z = alpha;
+namespace Y = beta;
+namespace X = gamma;
+namespace W = delta;
+int main() { return 0; }
+`
+	first := buildPDB(t, src, nil, ilanalyzer.Options{})
+	var aliases []string
+	for _, ns := range first.Namespaces {
+		if ns.Alias != "" {
+			aliases = append(aliases, ns.Name+"="+ns.Alias)
+		}
+	}
+	if got, want := strings.Join(aliases, " "), "W=delta X=gamma Y=beta Z=alpha"; got != want {
+		t.Fatalf("aliases %q, want %q", got, want)
+	}
+	want := first.String()
+	for i := 0; i < 20; i++ {
+		if got := buildPDB(t, src, nil, ilanalyzer.Options{}).String(); got != want {
+			t.Fatalf("compile %d differs from the first:\n%s\nwant:\n%s", i+1, got, want)
+		}
+	}
+}

@@ -73,9 +73,9 @@ func GenDistinctInstantiations(k int) string {
 }
 
 // GenManyTemplates synthesizes k distinct class templates, each
-// instantiated once — the workload that stresses the IL Analyzer's
-// template-origin location scan (O(templates) per instantiation)
-// against the direct-ID mode (O(1)).
+// instantiated once — the workload that stresses sema's template-name
+// lookup and the IL Analyzer's template-origin location match, and
+// compares that match with the direct-ID mode.
 func GenManyTemplates(k int) string {
 	var sb strings.Builder
 	for i := 0; i < k; i++ {
