@@ -1,10 +1,9 @@
-// Benchmark snapshot for the PDB encodings and the sharded index maps.
+// Benchmark snapshot for the PDB encodings.
 //
 // TestBenchSnapshotPdbio is gated on PDT_BENCH_SNAPSHOT_PDBIO: when the
 // variable names an output path, the test times reading the benchmark
-// corpus from the ASCII and binary encodings, measures sharded versus
-// globally locked map lookup throughput under concurrency, and writes
-// the measurements as JSON. CI runs it on every push and uploads the
+// corpus from the ASCII and binary encodings and writes the
+// measurements as JSON. CI runs it on every push and uploads the
 // artifact; the committed BENCH_pdbio.json is the documented baseline.
 // The binary decoder must beat the ASCII parser by at least 2x — that
 // floor is asserted, not just recorded.
@@ -14,32 +13,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"sync"
 	"testing"
-	"time"
 
-	"pdt/internal/cmap"
 	"pdt/internal/pdb"
 )
-
-// mapThroughput runs workers goroutines doing opsPerWorker lookups
-// each against get, returning million-ops/second of wall time.
-func mapThroughput(workers, opsPerWorker, keySpace int, get func(k int)) float64 {
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < opsPerWorker; i++ {
-				get((w*opsPerWorker + i) % keySpace)
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	return float64(workers*opsPerWorker) / elapsed / 1e6
-}
 
 func TestBenchSnapshotPdbio(t *testing.T) {
 	out := os.Getenv("PDT_BENCH_SNAPSHOT_PDBIO")
@@ -72,41 +49,17 @@ func TestBenchSnapshotPdbio(t *testing.T) {
 	asciiRate := float64(ascii.Len()) / 1e6 / (asciiMS / 1e3)
 	binRate := float64(bin.Len()) / 1e6 / (binMS / 1e3)
 
-	// Sharded versus globally RWMutex-locked map: concurrent readers
-	// over the same key space. On a single core the two are close (the
-	// win is uncontended lock cost); with real parallelism the global
-	// lock serializes and the gap widens.
-	const keySpace = 4096
-	const workers = 8
-	const ops = 200_000
-	sharded := cmap.NewInt[int]()
-	global := make(map[int]int, keySpace)
-	var mu sync.RWMutex
-	for i := 0; i < keySpace; i++ {
-		sharded.Set(i, i)
-		global[i] = i
-	}
-	shardedMops := mapThroughput(workers, ops, keySpace, func(k int) { sharded.Get(k) })
-	globalMops := mapThroughput(workers, ops, keySpace, func(k int) {
-		mu.RLock()
-		_ = global[k]
-		mu.RUnlock()
-	})
-
 	snap := map[string]any{
-		"generated_by":       "TestBenchSnapshotPdbio",
-		"corpus":             map[string]int{"layer_depth": 48, "layer_width": 4, "layer_methods": 8, "merge_units": 8},
-		"items":              items,
-		"ascii_bytes":        ascii.Len(),
-		"binary_bytes":       bin.Len(),
-		"ascii_read_ms":      asciiMS,
-		"binary_read_ms":     binMS,
-		"ascii_read_mb_s":    asciiRate,
-		"binary_read_mb_s":   binRate,
-		"binary_speedup":     asciiMS / binMS,
-		"map_workers":        workers,
-		"sharded_get_mops_s": shardedMops,
-		"global_get_mops_s":  globalMops,
+		"generated_by":     "TestBenchSnapshotPdbio",
+		"corpus":           map[string]int{"layer_depth": 48, "layer_width": 4, "layer_methods": 8, "merge_units": 8},
+		"items":            items,
+		"ascii_bytes":      ascii.Len(),
+		"binary_bytes":     bin.Len(),
+		"ascii_read_ms":    asciiMS,
+		"binary_read_ms":   binMS,
+		"ascii_read_mb_s":  asciiRate,
+		"binary_read_mb_s": binRate,
+		"binary_speedup":   asciiMS / binMS,
 	}
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
@@ -115,8 +68,8 @@ func TestBenchSnapshotPdbio(t *testing.T) {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("ascii %.2fms (%.1f MB/s, %d bytes) binary %.2fms (%.1f MB/s, %d bytes) speedup %.2fx; maps sharded %.1f vs global %.1f Mops/s",
-		asciiMS, asciiRate, ascii.Len(), binMS, binRate, bin.Len(), asciiMS/binMS, shardedMops, globalMops)
+	t.Logf("ascii %.2fms (%.1f MB/s, %d bytes) binary %.2fms (%.1f MB/s, %d bytes) speedup %.2fx",
+		asciiMS, asciiRate, ascii.Len(), binMS, binRate, bin.Len(), asciiMS/binMS)
 
 	if binMS*2 > asciiMS {
 		t.Errorf("binary read (%.2fms) is not at least 2x faster than ascii (%.2fms)", binMS, asciiMS)

@@ -33,8 +33,9 @@
 //	GET  /v1/profile/html                  live dashboard fragment
 //
 // SIGHUP triggers the same reload as POST /v1/reload; SIGINT/SIGTERM
-// shut down gracefully. With -cache-dir, responses and lint findings
-// persist across restarts in content-addressed journals.
+// shut down gracefully. Responses are cached in memory only; with
+// -cache-dir, lint findings persist across restarts in a
+// content-addressed journal, so /v1/lint re-runs only stale passes.
 //
 // Exit codes: 0 clean shutdown, 3 startup or serve failure.
 package main
@@ -58,7 +59,7 @@ func main() {
 	t := cliutil.New("pdbd",
 		"pdbd [-addr :7245] [-cache-dir dir] [-mem-entries N] [-html-src] file.pdb [file.pdb ...]")
 	addr := t.Flags.String("addr", ":7245", "listen address")
-	cacheDir := t.Flags.String("cache-dir", "", "disk cache directory for responses and lint findings (default: memory-only)")
+	cacheDir := t.Flags.String("cache-dir", "", "directory for the lint findings journal (default: none, /v1/lint not incremental)")
 	memEntries := t.Flags.Int("mem-entries", 0, "in-memory response cache capacity in entries (0 = 4096)")
 	htmlSrc := t.Flags.Bool("html-src", false, "include source listings in /v1/html pages")
 	cf := t.CorpusFlags().WithStrict()

@@ -83,7 +83,7 @@ func (j *Journal) Store(key string, payload []byte) error {
 // Load fetches the payload stored under key. ok reports a verified
 // hit. invalid reports an entry that exists but failed verification —
 // wrong magic, key mismatch, checksum mismatch, or truncation — which
-// the caller should count (e.g. cache.disk.invalid) and overwrite;
+// the caller should count (e.g. findings.invalidated) and overwrite;
 // Load never returns such bytes.
 func (j *Journal) Load(key string) (payload []byte, ok, invalid bool) {
 	data, err := os.ReadFile(j.path(key))

@@ -4,24 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"pdt/internal/durable"
 	"pdt/internal/obs"
-	"pdt/internal/schema"
 )
 
-func testEntry(endpoint string, params []string, body string) *entry {
-	return &entry{
-		SchemaVersion: schema.Version,
-		Endpoint:      endpoint,
-		Params:        params,
-		ContentType:   "text/plain; charset=utf-8",
-		Body:          []byte(body),
-	}
+func testEntry(body string) *entry {
+	return &entry{ContentType: "text/plain; charset=utf-8", Body: []byte(body)}
 }
 
 func TestMemCacheLRU(t *testing.T) {
@@ -31,8 +25,8 @@ func TestMemCacheLRU(t *testing.T) {
 	if c.shard(a) != c.shard(b) {
 		t.Fatalf("test keys landed in different shards")
 	}
-	c.put(a, testEntry("q", nil, "A"))
-	c.put(b, testEntry("q", nil, "B"))
+	c.put(a, testEntry("A"))
+	c.put(b, testEntry("B"))
 	if _, ok := c.get(a); ok {
 		t.Error("oldest entry survived past shard capacity")
 	}
@@ -40,51 +34,18 @@ func TestMemCacheLRU(t *testing.T) {
 		t.Errorf("newest entry missing after eviction (ok=%v)", ok)
 	}
 	// Recency: touch b, insert a third key, b must survive.
-	c.put(a, testEntry("q", nil, "A"))
+	c.put(a, testEntry("A"))
 	c.get(a)
-	c.put(b, testEntry("q", nil, "B2"))
+	c.put(b, testEntry("B2"))
 	if _, ok := c.get(b); !ok {
 		t.Error("most recent insert evicted")
 	}
 }
 
-func TestCacheTwoTierPromotion(t *testing.T) {
-	dir := t.TempDir()
-	j, err := durable.OpenJournal(durable.OS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := obs.New("test")
-	c1 := newCache(64, j, m)
-	key := cacheKey("query", []string{"cmd=nodes"}, "fp1")
-	c1.put(key, testEntry("query", []string{"cmd=nodes"}, "hello"))
-
-	// A second cache over the same directory (a daemon restart) has a
-	// cold memory tier but hits disk — and promotes the entry into
-	// memory so the next probe is a memory hit.
-	j2, err := durable.OpenJournal(durable.OS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := obs.New("test2")
-	c2 := newCache(64, j2, m2)
-	e, tier, ok := c2.get(key)
-	if !ok || tier != "disk" || string(e.Body) != "hello" {
-		t.Fatalf("get after restart = (%v, %q, %v), want disk hit", e, tier, ok)
-	}
-	if _, tier, ok = c2.get(key); !ok || tier != "mem" {
-		t.Fatalf("second get tier = %q, want mem (promoted)", tier)
-	}
-	snap := m2.Snapshot()
-	if snap.Counters["cache.disk.hits"] != 1 || snap.Counters["cache.mem.hits"] != 1 {
-		t.Errorf("counters = %v, want one disk hit and one mem hit", snap.Counters)
-	}
-}
-
 func TestCacheSingleflightCoalesces(t *testing.T) {
 	m := obs.New("test")
-	c := newCache(64, nil, m)
-	key := cacheKey("query", []string{"cmd=deps"}, "fp1")
+	c := newCache(64, m)
+	key := cacheKey("query", []string{"cmd=deps"})
 
 	const clients = 8
 	gate := make(chan struct{})
@@ -99,7 +60,7 @@ func TestCacheSingleflightCoalesces(t *testing.T) {
 			e, _, err := c.do(context.Background(), key, func() (*entry, error) {
 				computes.Add(1)
 				<-gate
-				return testEntry("query", nil, "answer"), nil
+				return testEntry("answer"), nil
 			})
 			errs[i] = err
 			if e != nil {
@@ -142,7 +103,7 @@ func TestCacheSingleflightCoalesces(t *testing.T) {
 // the answer must not start a second flight that recomputes it.
 func TestCacheMixedTrafficComputesOncePerKey(t *testing.T) {
 	const keys, clients, rounds = 16, 8, 200
-	c := newCache(4096, nil, obs.New("test"))
+	c := newCache(4096, obs.New("test"))
 	var computes [keys]atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < clients; w++ {
@@ -151,10 +112,10 @@ func TestCacheMixedTrafficComputesOncePerKey(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				k := (w*7 + i*5) % keys
-				key := cacheKey("query", []string{fmt.Sprintf("k=%d", k)}, "fp1")
+				key := cacheKey("query", []string{fmt.Sprintf("k=%d", k)})
 				e, _, err := c.do(context.Background(), key, func() (*entry, error) {
 					computes[k].Add(1)
-					return testEntry("query", nil, fmt.Sprint(k)), nil
+					return testEntry(fmt.Sprint(k)), nil
 				})
 				if err != nil || string(e.Body) != fmt.Sprint(k) {
 					t.Errorf("key %d: err=%v entry=%v", k, err, e)
@@ -176,8 +137,8 @@ func TestCacheMixedTrafficComputesOncePerKey(t *testing.T) {
 // it — a surviving waiter retries and becomes the new leader.
 func TestCacheLeaderCancelRetry(t *testing.T) {
 	m := obs.New("test")
-	c := newCache(64, nil, m)
-	key := cacheKey("query", []string{"cmd=deps"}, "fp1")
+	c := newCache(64, m)
+	key := cacheKey("query", []string{"cmd=deps"})
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	inCompute := make(chan struct{})
@@ -193,7 +154,7 @@ func TestCacheLeaderCancelRetry(t *testing.T) {
 				<-leaderCtx.Done()
 				return nil, leaderCtx.Err()
 			}
-			return testEntry("query", nil, "answer"), nil
+			return testEntry("answer"), nil
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("leader err = %v, want context.Canceled", err)
@@ -208,7 +169,7 @@ func TestCacheLeaderCancelRetry(t *testing.T) {
 			if computes.Add(1) == 1 {
 				t.Error("waiter became first leader")
 			}
-			return testEntry("query", nil, "answer"), nil
+			return testEntry("answer"), nil
 		})
 		if e != nil {
 			waiterBody.Store(string(e.Body))
@@ -229,79 +190,85 @@ func TestCacheLeaderCancelRetry(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCacheInvalidate pins the disk sweep a reload runs: only entries
-// keyed to the new fingerprint survive in the journal, and an entry an
-// older daemon wrote with fields this one no longer has still decodes.
+// TestCacheInvalidate pins how a reload invalidates: by replacing the
+// snapshot's cache, not by key. The cache a changed corpus starts with
+// misses every key, while the old snapshot's cache keeps answering the
+// requests still on it.
 func TestCacheInvalidate(t *testing.T) {
-	j, err := durable.OpenJournal(durable.OS, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newCache(64, j, obs.New("test"))
+	old := newCache(64, obs.New("test"))
+	deps := cacheKey("query", []string{"cmd=deps", "file:a.cc"})
+	lint := cacheKey("lint", []string{"format=text"})
+	old.mem.put(deps, testEntry("deps-old"))
+	old.mem.put(lint, testEntry("lint-report"))
 
-	oldFP, newFP := "fp-old", "fp-new"
-	deps := []string{"cmd=deps", "file:a.cc"}
-	c.put(cacheKey("lint", []string{"format=text"}, oldFP), testEntry("lint", []string{"format=text"}, "lint-report"))
-	c.put(cacheKey("query", deps, oldFP), testEntry("query", deps, "deps-old"))
-	// Filed under a key its own content does not derive: swept too.
-	c.put(cacheKey("tree", nil, newFP), testEntry("html", nil, "misfiled"))
-	keep := cacheKey("query", deps, newFP)
-	legacy := fmt.Sprintf(`{"schema_version":%d,"endpoint":"query","params":["cmd=deps","file:a.cc"],`+
-		`"node_keys":["file:a.cc"],"content_type":"text/plain; charset=utf-8","body":"ZGVwcy1uZXc="}`, schema.Version)
-	if err := j.Store(keep, []byte(legacy)); err != nil {
-		t.Fatal(err)
+	fresh := newCache(64, obs.New("test2"))
+	for _, key := range []string{deps, lint} {
+		if _, ok := fresh.get(key); ok {
+			t.Errorf("fresh cache hit on %s", key)
+		}
 	}
-
-	c.sweep(newFP)
-	keys, err := j.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 1 || keys[0] != keep {
-		t.Errorf("disk keys after sweep = %v, want exactly [%s]", keys, keep)
-	}
-	fresh := newCache(64, j, obs.New("test2"))
-	if e, tier, ok := fresh.get(keep); !ok || tier != "disk" || string(e.Body) != "deps-new" {
-		t.Errorf("surviving entry = (%v, %q, %v), want disk hit with body deps-new", e, tier, ok)
+	if e, ok := old.get(deps); !ok || string(e.Body) != "deps-old" {
+		t.Errorf("old cache lost its entry (ok=%v)", ok)
 	}
 }
 
 func TestCacheKeyFraming(t *testing.T) {
-	// The key must separate endpoint, params, and fingerprint: moving a
-	// byte between parts must change the key.
-	a := cacheKey("query", []string{"ab"}, "fp")
-	b := cacheKey("query", []string{"a", "b"}, "fp")
-	d := cacheKey("querya", []string{"b"}, "fp")
+	// The key must separate endpoint and params: moving a byte between
+	// parts must change the key.
+	a := cacheKey("query", []string{"ab"})
+	b := cacheKey("query", []string{"a", "b"})
+	d := cacheKey("querya", []string{"b"})
 	if a == b || a == d || b == d {
 		t.Errorf("cache keys collide across part boundaries: %s %s %s", a, b, d)
 	}
-	if cacheKey("q", nil, "fp1") == cacheKey("q", nil, "fp2") {
-		t.Error("fingerprint does not affect the key")
+}
+
+// TestMemCacheSpreadsKeys: the shard pick must spread real keys evenly
+// enough that a cache three-quarters full evicts nothing. A skewed
+// pick overfills its busiest shard long before the total capacity.
+func TestMemCacheSpreadsKeys(t *testing.T) {
+	const entries, capacity = 3072, 4096
+	c := newMemCache(capacity)
+	for i := 0; i < entries; i++ {
+		c.put(cacheKey("query", []string{fmt.Sprintf("node=%d", i)}), testEntry("x"))
+	}
+	if n := c.len(); n != entries {
+		t.Errorf("cache holds %d of %d entries at capacity %d: shards are skewed", n, entries, capacity)
 	}
 }
 
+// TestCacheDiskDisabled: responses live in memory only. A daemon with
+// a cache directory keeps just the lint findings journal there.
 func TestCacheDiskDisabled(t *testing.T) {
-	m := obs.New("test")
-	c := newCache(4, nil, m)
-	key := cacheKey("q", nil, "fp")
-	if _, _, ok := c.get(key); ok {
-		t.Fatal("hit on empty cache")
+	dir := t.TempDir()
+	s, _ := newTestServer(t, testRaw(false), dir)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, u := range []string{"/v1/query/deps?node=file:main.cc", "/v1/lint", "/v1/tree"} {
+		get(t, ts.URL+u)
 	}
-	c.put(key, testEntry("q", nil, "x"))
-	if e, tier, ok := c.get(key); !ok || tier != "mem" || string(e.Body) != "x" {
-		t.Fatalf("get = (%v, %q, %v)", e, tier, ok)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != "findings" {
+		t.Errorf("cache dir holds %v, want just [findings]", names)
 	}
 }
 
 func TestCacheDoComputesOnceThenHits(t *testing.T) {
 	m := obs.New("test")
-	c := newCache(64, nil, m)
-	key := cacheKey("q", nil, "fp")
+	c := newCache(64, m)
+	key := cacheKey("q", nil)
 	n := 0
 	for i := 0; i < 3; i++ {
 		e, tier, err := c.do(context.Background(), key, func() (*entry, error) {
 			n++
-			return testEntry("q", nil, fmt.Sprintf("v%d", n)), nil
+			return testEntry(fmt.Sprintf("v%d", n)), nil
 		})
 		if err != nil || string(e.Body) != "v1" {
 			t.Fatalf("do #%d = (%s, %v)", i, e.Body, err)

@@ -42,14 +42,17 @@ func newMemCache(capacity int) *memCache {
 	return c
 }
 
-// shard picks the shard for a key. Keys are hex SHA-256 strings, so
-// any byte is uniformly distributed; fold the first two.
+// shard picks the shard for a key. Keys are lowercase hex SHA-256
+// strings, so the value of the first hex digit is one of 16 equally
+// likely values. A fold of two characters' ASCII codes is not uniform
+// mod 16: digits and letters differ in their high bits.
 func (c *memCache) shard(key string) *memShard {
 	var h uint8
-	if len(key) >= 2 {
-		h = key[0] ^ key[1]
-	} else if len(key) == 1 {
-		h = key[0]
+	if key != "" {
+		h = key[0] - '0'
+		if key[0] >= 'a' {
+			h = key[0] - 'a' + 10
+		}
 	}
 	return &c.shards[h%memShards]
 }

@@ -9,12 +9,10 @@
 // corresponding command-line invocation by construction: both sides
 // call the same renderers.
 //
-// Responses flow through a two-tier content-addressed result cache
-// (see cache): a sharded in-memory LRU in front of an optional
-// on-disk durable journal, with single-flight coalescing of concurrent
-// misses. Keys embed the corpus content fingerprint. A reload (SIGHUP
-// or POST /v1/reload) that changes the content starts a fresh memory
-// tier and sweeps the disk tier down to the new fingerprint's keys.
+// Responses flow through a result cache (see cache): a sharded
+// in-memory LRU with single-flight coalescing of concurrent misses,
+// owned by one corpus snapshot. A reload (SIGHUP or POST /v1/reload)
+// that changes the content swaps in a new snapshot with a fresh cache.
 package pdbd
 
 import (
@@ -29,11 +27,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
 	"time"
 
 	"pdt/internal/corpus"
-	"pdt/internal/durable"
 	"pdt/internal/obs"
 	"pdt/internal/schema"
 	"pdt/internal/taustream"
@@ -48,9 +44,9 @@ type Config struct {
 	Paths []string
 	// Corpus is the shared load configuration.
 	Corpus corpus.Options
-	// CacheDir enables the disk cache tier: responses are journaled in
-	// CacheDir/responses and lint findings in CacheDir/findings. Empty
-	// keeps both caches memory-only (and /v1/lint non-incremental).
+	// CacheDir holds the lint findings journal (CacheDir/findings),
+	// which makes /v1/lint incremental across reloads and restarts.
+	// Empty keeps /v1/lint non-incremental.
 	CacheDir string
 	// MemEntries bounds the in-memory response cache (0 = 4096).
 	MemEntries int
@@ -68,8 +64,8 @@ type Config struct {
 // state is the immutable corpus-of-record a request sees: handlers
 // load it once and answer entirely from that snapshot, so a reload
 // mid-request yields a consistently old or consistently new answer,
-// never a mix. The memory tier of the result cache belongs to the
-// snapshot and leaves with it.
+// never a mix. The result cache belongs to the snapshot and leaves
+// with it.
 type state struct {
 	corpus      *corpus.Corpus
 	fingerprint string
@@ -80,8 +76,7 @@ type state struct {
 type Server struct {
 	cfg      Config
 	metrics  *obs.Metrics
-	disk     *durable.Journal // response journal (nil = memory-only)
-	findings string           // lint findings journal dir ("" = none)
+	findings string // lint findings journal dir ("" = none)
 	mux      *http.ServeMux
 
 	// profile is the live TAU-stream aggregate. It outlives corpus
@@ -134,11 +129,6 @@ func NewDeferred(cfg Config) (*Server, error) {
 	}
 
 	if cfg.CacheDir != "" {
-		var err error
-		s.disk, err = durable.OpenJournal(durable.OS, filepath.Join(cfg.CacheDir, "responses"))
-		if err != nil {
-			return nil, err
-		}
 		s.findings = filepath.Join(cfg.CacheDir, "findings")
 	}
 
@@ -170,10 +160,9 @@ func (s *Server) LoadCorpus(ctx context.Context) error {
 	return nil
 }
 
-// newState wraps an opened corpus in a snapshot with an empty memory
-// tier over the daemon's disk journal.
+// newState wraps an opened corpus in a snapshot with an empty cache.
 func (s *Server) newState(c *corpus.Corpus) *state {
-	return &state{corpus: c, fingerprint: c.Fingerprint(), cache: newCache(s.cfg.MemEntries, s.disk, s.metrics)}
+	return &state{corpus: c, fingerprint: c.Fingerprint(), cache: newCache(s.cfg.MemEntries, s.metrics)}
 }
 
 // Handler returns the daemon's HTTP handler.
@@ -275,8 +264,8 @@ func formatParam(r *http.Request) (string, error) {
 	return f, nil
 }
 
-// serveCached answers one cacheable request: probe the two cache
-// tiers, coalesce concurrent misses, compute at most once per flight,
+// serveCached answers one cacheable request: probe the snapshot's
+// cache, coalesce concurrent misses, compute at most once per flight,
 // and stamp the cache disposition and corpus fingerprint headers.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, st *state,
 	endpoint string, params []string, contentType string, render func() ([]byte, error)) {
@@ -285,19 +274,12 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, st *state,
 	// clients can always tell which corpus version answered.
 	w.Header().Set("X-Pdbd-Fingerprint", st.fingerprint)
 
-	key := cacheKey(endpoint, params, st.fingerprint)
-	e, tier, err := st.cache.do(r.Context(), key, func() (*entry, error) {
+	e, tier, err := st.cache.do(r.Context(), cacheKey(endpoint, params), func() (*entry, error) {
 		body, err := render()
 		if err != nil {
 			return nil, err
 		}
-		return &entry{
-			SchemaVersion: schema.Version,
-			Endpoint:      endpoint,
-			Params:        params,
-			ContentType:   contentType,
-			Body:          body,
-		}, nil
+		return &entry{ContentType: contentType, Body: body}, nil
 	})
 	if err != nil {
 		s.fail(w, err)
@@ -588,13 +570,12 @@ type ReloadSummary struct {
 }
 
 // Reload re-opens the corpus from the configured paths and, if its
-// content changed, swaps in a new snapshot with a fresh memory tier,
-// then sweeps the disk tier down to the new fingerprint's keys. The
+// content changed, swaps in a new snapshot with a fresh cache. The
 // new corpus builds its graph lazily, on first use, as at load.
 //
 // In-flight requests keep answering from the snapshot they loaded,
-// memory tier included; new requests see the new corpus as soon as
-// the swap lands.
+// cache included; new requests see the new corpus as soon as the swap
+// lands.
 func (s *Server) Reload(ctx context.Context) (*ReloadSummary, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -633,12 +614,9 @@ func (s *Server) Reload(ctx context.Context) (*ReloadSummary, error) {
 		sum.ChangedUnits = changed
 	}
 
-	// Swap first, then sweep: requests on the new snapshot never see
-	// their keys swept, and requests still on the old one answer from
-	// its own memory tier, so no answer is computed twice.
-	st := s.newState(c)
-	s.st.Store(st)
-	st.cache.sweep(sum.Fingerprint)
+	// Requests still on the old snapshot answer from its own cache, so
+	// no answer is computed twice.
+	s.st.Store(s.newState(c))
 	sum.CacheDropped = old.cache.mem.len()
 	s.metrics.Counter("cache.dropped").Add(int64(sum.CacheDropped))
 	s.metrics.Counter("reload.count").Add(1)

@@ -180,8 +180,8 @@ func TestServerCacheTiers(t *testing.T) {
 		t.Error("cached response differs from computed response")
 	}
 
-	// A fresh daemon over the same cache directory (a restart) serves
-	// the same answer from the disk tier without recomputing.
+	// A fresh daemon over the same cache directory (a restart) starts
+	// with an empty cache and computes the same answer again.
 	s2, err := New(context.Background(), Config{
 		Paths:    []string{path},
 		CacheDir: cacheDir,
@@ -192,12 +192,12 @@ func TestServerCacheTiers(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	_, disk, tier := get(t, ts2.URL+"/v1/query/deps?node=file:main.cc")
-	if tier != "disk" {
-		t.Errorf("restarted daemon tier = %q, want disk", tier)
+	_, restarted, tier := get(t, ts2.URL+"/v1/query/deps?node=file:main.cc")
+	if tier != "miss" {
+		t.Errorf("restarted daemon tier = %q, want miss", tier)
 	}
-	if disk != cold {
-		t.Error("disk-tier response differs from original")
+	if restarted != cold {
+		t.Error("restarted daemon's response differs from original")
 	}
 }
 
@@ -470,26 +470,30 @@ func TestServerConcurrentReload(t *testing.T) {
 
 func TestServerLintIncrementalFindings(t *testing.T) {
 	// With a cache dir, /v1/lint runs through the incremental driver:
-	// the first run populates the findings journal, and after a reload
-	// (which drops the global response entry) the re-run splices from
-	// it. The response bytes never change.
-	m := obs.New("pdbd-lint")
+	// the first run populates the findings journal, and a restarted
+	// daemon (whose response cache starts empty) re-runs lint by
+	// splicing every pass from it. The response bytes never change.
 	path := filepath.Join(t.TempDir(), "corpus.pdb")
 	saveRaw(t, path, testRaw(false))
-	s, err := New(context.Background(), Config{
-		Paths:    []string{path},
-		CacheDir: t.TempDir(),
-		Metrics:  m,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cacheDir := t.TempDir()
+	start := func(m *obs.Metrics) *httptest.Server {
+		s, err := New(context.Background(), Config{
+			Paths:    []string{path},
+			CacheDir: cacheDir,
+			Metrics:  m,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return httptest.NewServer(s.Handler())
 	}
-	ts := httptest.NewServer(s.Handler())
+	m := obs.New("pdbd-lint")
+	ts := start(m)
 	defer ts.Close()
 
 	_, first, _ := get(t, ts.URL+"/v1/lint")
-	snap := m.Snapshot()
-	if snap.Counters["findings.stored"] == 0 {
+	stored := m.Snapshot().Counters["findings.stored"]
+	if stored == 0 {
 		t.Error("first lint run stored no findings in the journal")
 	}
 	// Same corpus, cache hit: no second run at all.
@@ -497,7 +501,19 @@ func TestServerLintIncrementalFindings(t *testing.T) {
 	if tier != "mem" || second != first {
 		t.Errorf("second lint = (%q, equal=%v), want warm identical", tier, second == first)
 	}
-	fmt.Fprintf(io.Discard, "%s", first)
+
+	m2 := obs.New("pdbd-lint-2")
+	ts2 := start(m2)
+	defer ts2.Close()
+	_, restarted, tier := get(t, ts2.URL+"/v1/lint")
+	if tier != "miss" || restarted != first {
+		t.Errorf("lint after restart = (%q, equal=%v), want miss identical", tier, restarted == first)
+	}
+	snap := m2.Snapshot()
+	if snap.Counters["lint.reused"] != stored || snap.Counters["findings.stored"] != 0 {
+		t.Errorf("lint after restart reused %d passes and stored %d, want %d reused and 0 stored",
+			snap.Counters["lint.reused"], snap.Counters["findings.stored"], stored)
+	}
 }
 
 // TestServerReadiness drives the deferred-start lifecycle: a daemon

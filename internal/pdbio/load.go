@@ -111,15 +111,7 @@ func loadOnce(ctx context.Context, path string, cfg config) (*ductape.PDB, error
 		}
 	}
 	cfg.metrics.Counter("files.loaded").Add(1)
-	db := ductape.FromRaw(raw)
-	if len(cfg.postLoad) > 0 {
-		hs := cfg.startSpan("post-load")
-		for _, hook := range cfg.postLoad {
-			hook(db)
-		}
-		hs.End()
-	}
-	return db, nil
+	return ductape.FromRaw(raw), nil
 }
 
 // open resolves the configured filesystem: the OS by default, or the

@@ -2,8 +2,7 @@
 // program databases — the scalable front door to the paper's §3.2
 // whole-program workflow, where one PDB per compilation unit is merged
 // into a single program database. Template-heavy codebases produce
-// hundreds of large per-unit PDBs, so pdbio parallelizes both ends of
-// the pipeline:
+// hundreds of large per-unit PDBs:
 //
 //   - LoadAll parses files concurrently, one file per worker; each
 //     file is read by the sequential pdb reader (Load, Read).
@@ -11,7 +10,8 @@
 //     ductape.Merge fold.
 //
 // All entry points take a context for cancellation and a variadic
-// option list (WithWorkers, WithStrictValidation, WithMaxLineBytes).
+// option list (WithWorkers, WithStrictValidation, WithLenient,
+// WithMetrics, ...).
 // Multi-file failures use keep-going semantics: every input is
 // attempted and the returned error aggregates one %w-wrapped error per
 // failed input.
@@ -65,9 +65,6 @@ type config struct {
 
 	// Crash-consistency seam (internal/durable).
 	writeFS durable.FS
-
-	// Post-load hooks, run on every successfully built object graph.
-	postLoad []func(*ductape.PDB)
 
 	// Output encoding for MergeFiles / MergeToFile.
 	format Format
@@ -157,16 +154,6 @@ func WithFormat(f Format) Option {
 // fail if any check does.
 func WithStrictValidation() Option {
 	return func(c *config) { c.strict = true }
-}
-
-// WithPostLoad registers a hook run on every successfully loaded
-// object graph before Load/LoadAll return it — the seam consumers use
-// to build derived views (dependency graphs, fingerprints) inside the
-// load stage's instrumentation instead of after it. Hooks run in
-// registration order; for LoadAll they run per file on the loading
-// worker, so they must not share mutable state without locking.
-func WithPostLoad(hook func(*ductape.PDB)) Option {
-	return func(c *config) { c.postLoad = append(c.postLoad, hook) }
 }
 
 // WithMetrics routes stage spans, item/byte counts, and worker-pool

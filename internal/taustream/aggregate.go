@@ -7,9 +7,9 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
-	"pdt/internal/cmap"
 	"pdt/internal/obs"
 	"pdt/internal/schema"
 	"pdt/internal/tau"
@@ -20,8 +20,8 @@ import (
 var ErrMalformed = errors.New("malformed profile stream")
 
 // timerStats accumulates one timer name across runs. Counters are
-// atomic so concurrent ingests only contend on the cmap shard long
-// enough to find the record, never while adding to it.
+// atomic so concurrent ingests hold the table lock only long enough to
+// find the record, never while adding to it.
 type timerStats struct {
 	calls atomic.Uint64
 	incl  atomic.Uint64
@@ -36,14 +36,16 @@ type edgeStats struct {
 
 // Aggregator accumulates streamed profile events from many concurrent
 // instrumented runs into per-routine (flat) and per-edge (call-path)
-// statistics, sharded on internal/cmap so ingests from many
-// connections scale across cores. Aggregation is additive and
+// statistics. Both tables sit behind one RWMutex: ingests find a
+// known record under the read lock and take the write lock only to
+// insert a name seen for the first time. Aggregation is additive and
 // commutative: interleaving runs' batches in any order yields the
 // same totals.
 type Aggregator struct {
 	metrics *obs.Metrics
-	timers  *cmap.Map[string, *timerStats]
-	edges   *cmap.Map[string, *edgeStats] // key: parent + "\x1f" + child
+	mu      sync.RWMutex
+	timers  map[string]*timerStats
+	edges   map[string]*edgeStats // key: parent + "\x1f" + child
 
 	runs          atomic.Uint64
 	stepsRuns     atomic.Uint64
@@ -57,8 +59,8 @@ type Aggregator struct {
 func NewAggregator(m *obs.Metrics) *Aggregator {
 	return &Aggregator{
 		metrics: m,
-		timers:  cmap.NewString[*timerStats](),
-		edges:   cmap.NewString[*edgeStats](),
+		timers:  map[string]*timerStats{},
+		edges:   map[string]*edgeStats{},
 	}
 }
 
@@ -111,23 +113,35 @@ func (a *Aggregator) apply(ev *Event) {
 }
 
 func (a *Aggregator) addSample(name string, calls, incl, excl uint64) {
-	ts, ok := a.timers.Get(name)
-	if !ok {
-		ts, _ = a.timers.GetOrSet(name, &timerStats{})
-	}
+	ts := record(&a.mu, a.timers, name)
 	ts.calls.Add(calls)
 	ts.incl.Add(incl)
 	ts.excl.Add(excl)
 }
 
 func (a *Aggregator) addEdge(parent, child string, calls, incl uint64) {
-	key := parent + "\x1f" + child
-	es, ok := a.edges.Get(key)
-	if !ok {
-		es, _ = a.edges.GetOrSet(key, &edgeStats{})
-	}
+	es := record(&a.mu, a.edges, parent+"\x1f"+child)
 	es.calls.Add(calls)
 	es.incl.Add(incl)
+}
+
+// record returns the stats record for key in m, a table guarded by mu,
+// inserting an empty one on first sight: a read-locked lookup, then a
+// write-locked re-check and insert on a miss.
+func record[T any](mu *sync.RWMutex, m map[string]*T, key string) *T {
+	mu.RLock()
+	r, ok := m[key]
+	mu.RUnlock()
+	if ok {
+		return r
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if r, ok = m[key]; !ok {
+		r = new(T)
+		m[key] = r
+	}
+	return r
 }
 
 // AddRuntime applies a completed one-shot run's profile — the offline
@@ -212,11 +226,18 @@ func (a *Aggregator) Snapshot() *Snapshot {
 		s.Unit = UnitSteps.String()
 	}
 
-	a.timers.Range(func(name string, ts *timerStats) bool {
+	a.mu.RLock()
+	for name, ts := range a.timers {
 		s.Timers = append(s.Timers, TimerStat{Name: name, Calls: ts.calls.Load(),
 			Inclusive: ts.incl.Load(), Exclusive: ts.excl.Load()})
-		return true
-	})
+	}
+	for key, es := range a.edges {
+		parent, child, _ := strings.Cut(key, "\x1f")
+		s.Edges = append(s.Edges, EdgeStat{Parent: parent, Child: child,
+			Calls: es.calls.Load(), Inclusive: es.incl.Load()})
+	}
+	a.mu.RUnlock()
+
 	sort.Slice(s.Timers, func(i, j int) bool {
 		if s.Timers[i].Exclusive != s.Timers[j].Exclusive {
 			return s.Timers[i].Exclusive > s.Timers[j].Exclusive
@@ -224,12 +245,6 @@ func (a *Aggregator) Snapshot() *Snapshot {
 		return s.Timers[i].Name < s.Timers[j].Name
 	})
 
-	a.edges.Range(func(key string, es *edgeStats) bool {
-		parent, child, _ := strings.Cut(key, "\x1f")
-		s.Edges = append(s.Edges, EdgeStat{Parent: parent, Child: child,
-			Calls: es.calls.Load(), Inclusive: es.incl.Load()})
-		return true
-	})
 	sort.Slice(s.Edges, func(i, j int) bool {
 		if s.Edges[i].Inclusive != s.Edges[j].Inclusive {
 			return s.Edges[i].Inclusive > s.Edges[j].Inclusive

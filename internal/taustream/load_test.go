@@ -14,7 +14,7 @@ import (
 // under -race in CI). Each client's buffer comfortably holds its whole
 // run, so no events may be dropped, and the aggregate totals must be
 // exact — the same additive-delta property the differential test pins,
-// now under full contention across the cmap shards.
+// now under full contention on the aggregate's tables.
 func TestLoadThousandClients(t *testing.T) {
 	const (
 		clients        = 1000

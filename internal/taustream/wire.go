@@ -13,9 +13,8 @@
 //     tau.Sink. A slow or absent daemon must never stall the profiled
 //     program, so the client drops under pressure (counting
 //     ingest.dropped) instead of blocking;
-//   - Aggregator: the daemon-side accumulator on sharded concurrent
-//     maps (internal/cmap), whose deterministic Snapshot is served by
-//     pdbd's /v1/profile endpoints.
+//   - Aggregator: the daemon-side accumulator, whose deterministic
+//     Snapshot is served by pdbd's /v1/profile endpoints.
 //
 // Aggregation is purely additive — every event is a delta — so events
 // are commutative across runs and a dropped event loses one sample
