@@ -59,6 +59,7 @@ type QueryResult struct {
 	Path     []query.Edge       // somepath (nil = no path)
 	HasPath  bool               // somepath, reaches
 	Affected *query.AffectedSet // affected
+	Units    []string           // affected: Affected.Units(), computed once
 }
 
 // Query runs one graph query against the corpus. The graph is built
@@ -117,7 +118,8 @@ func (c *Corpus) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 			return nil, fmt.Errorf("%w: affected takes at least one changed file", ErrBadRequest)
 		}
 		res.Affected = g.Affected(req.Args)
-		c.opts.Metrics.Counter("query.affected_units").Add(int64(len(res.Affected.Units())))
+		res.Units = res.Affected.Units()
+		c.opts.Metrics.Counter("query.affected_units").Add(int64(len(res.Units)))
 	default:
 		return nil, fmt.Errorf("%w: unknown command %q", ErrBadRequest, req.Command)
 	}
@@ -143,7 +145,7 @@ func (r *QueryResult) Write(w io.Writer, format string) error {
 	case CmdReaches:
 		return writeBool(w, format, r.HasPath)
 	case CmdAffected:
-		return writeAffected(w, format, r.Affected)
+		return writeAffected(w, format, r.Affected, r.Units)
 	default:
 		return writeNodes(w, format, r.Nodes)
 	}
@@ -225,12 +227,22 @@ func writeNodes(w io.Writer, format string, ns []*query.Node) error {
 			Nodes         []nodeJSON `json:"nodes"`
 		}{schema.Version, marshalNodes(ns)})
 	}
+	return writeKeys(w, ns)
+}
+
+// writeKeys writes one node key per line with a single Write.
+func writeKeys(w io.Writer, ns []*query.Node) error {
+	size := 0
 	for _, n := range ns {
-		if _, err := fmt.Fprintln(w, n.Key()); err != nil {
-			return err
-		}
+		size += len(n.Key()) + 1
 	}
-	return nil
+	buf := make([]byte, 0, size)
+	for _, n := range ns {
+		buf = append(buf, n.Key()...)
+		buf = append(buf, '\n')
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 func writeBool(w io.Writer, format string, v bool) error {
@@ -260,22 +272,21 @@ func writePath(w io.Writer, format string, path []query.Edge) error {
 		_, err := fmt.Fprintln(w, "no path")
 		return err
 	}
+	var buf []byte
 	for i, e := range path {
 		if i == 0 {
-			if _, err := fmt.Fprintln(w, e.From); err != nil {
-				return err
-			}
+			buf = append(append(buf, e.From...), '\n')
 		}
-		if _, err := fmt.Fprintf(w, "  -%s-> %s\n", e.Kind, e.To); err != nil {
-			return err
-		}
+		buf = append(append(buf, "  -"...), e.Kind...)
+		buf = append(append(buf, "-> "...), e.To...)
+		buf = append(buf, '\n')
 	}
-	return nil
+	_, err := w.Write(buf)
+	return err
 }
 
-func writeAffected(w io.Writer, format string, set *query.AffectedSet) error {
+func writeAffected(w io.Writer, format string, set *query.AffectedSet, units []string) error {
 	if format == "json" {
-		units := set.Units()
 		if units == nil {
 			units = []string{}
 		}
@@ -285,10 +296,5 @@ func writeAffected(w io.Writer, format string, set *query.AffectedSet) error {
 			Nodes         []nodeJSON `json:"nodes"`
 		}{schema.Version, units, marshalNodes(set.Nodes())})
 	}
-	for _, n := range set.Nodes() {
-		if _, err := fmt.Fprintln(w, n.Key()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeKeys(w, set.Nodes())
 }

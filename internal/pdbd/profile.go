@@ -17,10 +17,10 @@ package pdbd
 // profile describes program runs, not the database).
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
@@ -100,20 +100,12 @@ func (s *Server) serveLive(w http.ResponseWriter, memo *liveMemo, contentType st
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	s.serveLive(w, &s.profileJSON, "application/json", func(snap *taustream.Snapshot) ([]byte, error) {
-		var buf bytes.Buffer
-		if err := snap.WriteJSON(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return renderBody(snap.WriteJSON)
 	})
 }
 
 func (s *Server) handleProfileHTML(w http.ResponseWriter, r *http.Request) {
 	s.serveLive(w, &s.profileHTML, "text/html; charset=utf-8", func(snap *taustream.Snapshot) ([]byte, error) {
-		var buf bytes.Buffer
-		if err := taustream.WriteHTML(&buf, snap); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return renderBody(func(w io.Writer) error { return taustream.WriteHTML(w, snap) })
 	})
 }

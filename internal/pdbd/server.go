@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -293,6 +294,21 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, st *state,
 	_, _ = w.Write(e.Body)
 }
 
+// renderBody runs write into a buffer and returns the bytes as a body
+// whose capacity equals its length. Cached bodies live as long as the
+// snapshot, and a grown bytes.Buffer can hold up to twice its length.
+func renderBody(write func(io.Writer) error) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return nil, err
+	}
+	b := buf.Bytes()
+	if cap(b) == len(b) {
+		return b, nil
+	}
+	return append(make([]byte, 0, len(b)), b...), nil
+}
+
 func contentTypeFor(format string) string {
 	if format == "json" {
 		return "application/json"
@@ -449,11 +465,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request, cmd string, args 
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := res.Write(&buf, format); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return renderBody(func(w io.Writer) error { return res.Write(w, format) })
 	})
 }
 
@@ -504,11 +516,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := res.Write(&buf, format); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return renderBody(func(w io.Writer) error { return res.Write(w, format) })
 	})
 }
 
@@ -529,11 +537,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 		"calls=" + strconv.FormatBool(req.Calls),
 	}
 	s.serveCached(w, r, st, "tree", params, "text/plain; charset=utf-8", func() ([]byte, error) {
-		var buf bytes.Buffer
-		if err := st.corpus.WriteTree(&buf, req); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return renderBody(func(w io.Writer) error { return st.corpus.WriteTree(w, req) })
 	})
 }
 

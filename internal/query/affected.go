@@ -1,9 +1,5 @@
 package query
 
-import (
-	"sort"
-)
-
 // AffectedSet is the transitive invalidation set of a changed-file
 // list: every unit (source file) and entity whose analysis results a
 // change to those files could alter. It is deliberately conservative —
@@ -12,7 +8,9 @@ import (
 // tests) is that the set is always a superset of the units whose
 // findings actually change.
 type AffectedSet struct {
-	nodes map[*Node]bool
+	g  *Graph
+	in []bool // by node rank
+	n  int    // nodes marked in
 }
 
 // Affected computes the invalidation closure of the changed files,
@@ -33,11 +31,12 @@ type AffectedSet struct {
 // no longer has a node; its former dependents were re-fingerprinted
 // away by the cache layer).
 func (g *Graph) Affected(changed []string) *AffectedSet {
-	set := &AffectedSet{nodes: map[*Node]bool{}}
+	set := &AffectedSet{g: g, in: make([]bool, len(g.ordered().nodes))}
 	var frontier []*Node
 	mark := func(n *Node) {
-		if n != nil && !set.nodes[n] {
-			set.nodes[n] = true
+		if n != nil && !set.in[n.rank] {
+			set.in[n.rank] = true
+			set.n++
 			frontier = append(frontier, n)
 		}
 	}
@@ -65,14 +64,16 @@ func (g *Graph) Affected(changed []string) *AffectedSet {
 }
 
 // Contains reports whether the node is in the affected set.
-func (s *AffectedSet) Contains(n *Node) bool { return s != nil && s.nodes[n] }
+func (s *AffectedSet) Contains(n *Node) bool {
+	return s != nil && n != nil && n.rank < len(s.in) && s.g.ord.nodes[n.rank] == n && s.in[n.rank]
+}
 
 // Len returns the number of affected nodes.
 func (s *AffectedSet) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.nodes)
+	return s.n
 }
 
 // Nodes returns every affected node sorted by key.
@@ -80,26 +81,27 @@ func (s *AffectedSet) Nodes() []*Node {
 	if s == nil {
 		return nil
 	}
-	out := make([]*Node, 0, len(s.nodes))
-	for n := range s.nodes {
-		out = append(out, n)
+	out := make([]*Node, 0, s.n)
+	for rank, in := range s.in {
+		if in {
+			out = append(out, s.g.ord.nodes[rank])
+		}
 	}
-	sortNodes(out)
 	return out
 }
 
 // Units returns the names of the affected units (file nodes), sorted.
+// File keys share their "file:" prefix, so key order is name order.
 func (s *AffectedSet) Units() []string {
 	if s == nil {
 		return nil
 	}
 	var out []string
-	for n := range s.nodes {
-		if n.Kind == KindFile {
+	for rank, in := range s.in {
+		if n := s.g.ord.nodes[rank]; in && n.Kind == KindFile {
 			out = append(out, n.Name)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -108,10 +110,6 @@ func (s *AffectedSet) ContainsUnit(name string) bool {
 	if s == nil {
 		return false
 	}
-	for n := range s.nodes {
-		if n.Kind == KindFile && n.Name == name {
-			return true
-		}
-	}
-	return false
+	n, ok := s.g.nodes["file:"+name]
+	return ok && s.in[n.rank]
 }

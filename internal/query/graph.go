@@ -15,14 +15,19 @@
 // on Y" (X includes Y, X inherits from Y, X was instantiated from Y,
 // X calls Y, X is defined in Y). Deps walks outgoing edges, RevDeps
 // incoming ones. All query results are deterministically ordered by
-// node key regardless of map iteration or build order.
+// node key regardless of map iteration or build order: the graph sorts
+// its nodes by key once, on the first ordered answer, and every answer
+// after that compares the nodes' ranks in that order instead of their
+// key strings.
 package query
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"pdt/internal/ductape"
 )
@@ -59,6 +64,9 @@ type Node struct {
 	Kind Kind
 	Name string
 
+	key  string // "kind:name", shared with the graph's map key
+	rank int    // position in the key order; valid once the order is built
+
 	out []edge // dependencies (this node depends on edge.to)
 	in  []edge // dependents   (edge.to depends on this node)
 }
@@ -69,7 +77,7 @@ type edge struct {
 }
 
 // Key returns the unique "kind:name" identity of the node.
-func (n *Node) Key() string { return string(n.Kind) + ":" + n.Name }
+func (n *Node) Key() string { return n.key }
 
 func (n *Node) String() string { return n.Key() }
 
@@ -89,7 +97,20 @@ type Graph struct {
 	classNode    map[*ductape.Class]*Node
 	routineNode  map[*ductape.Routine]*Node
 	templateNode map[*ductape.Template]*Node
+
+	orderOnce sync.Once
+	ord       order
 }
+
+// order is the graph's key order, built once on the first answer that
+// needs it (see ordered).
+type order struct {
+	nodes []*Node            // every node sorted by key; nodes[i].rank == i
+	alias map[string][]*Node // bare and base names -> nodes in key order
+}
+
+// kinds lists every node kind, for resolving a name to its keys.
+var kinds = [...]Kind{KindClass, KindFile, KindRoutine, KindTemplate}
 
 // New builds the dependency graph of db. Building is O(items + edges);
 // the graph holds pointers into the database and stays valid as long
@@ -142,30 +163,62 @@ func (g *Graph) EdgeCount() int {
 
 // Nodes returns every node sorted by key.
 func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		out = append(out, n)
-	}
-	sortNodes(out)
-	return out
+	return slices.Clone(g.ordered().nodes)
 }
 
 // Lookup resolves a node by exact "kind:name" key, by bare name, or —
 // for files — by base name. A bare name or base name that matches
-// several nodes returns them all; the caller decides whether ambiguity
-// is an error.
+// several nodes returns them all, sorted by key; the caller decides
+// whether ambiguity is an error.
 func (g *Graph) Lookup(spec string) []*Node {
 	if n, ok := g.nodes[spec]; ok {
 		return []*Node{n}
 	}
-	var out []*Node
-	for _, n := range g.nodes {
-		if n.Name == spec || matchesBase(n, spec) || bareEntityName(n) == spec {
+	out := slices.Clone(g.ordered().alias[spec])
+	// A node named spec has the key "kind:spec"; no node is found
+	// both by its name and by an alias, which differs from its name.
+	var buf [64]byte
+	for _, kind := range kinds {
+		key := append(append(append(buf[:0], kind...), ':'), spec...)
+		if n, ok := g.nodes[string(key)]; ok {
 			out = append(out, n)
 		}
 	}
-	sortNodes(out)
+	g.sortNodes(out)
 	return out
+}
+
+// ordered returns the key order, building it on first use. The sort
+// is paid once per graph, and only by a graph that answers ordered
+// queries; a graph built just to be counted never sorts. sync.Once
+// makes the ranks written here visible to every goroutine that reads
+// them after calling ordered.
+func (g *Graph) ordered() *order {
+	g.orderOnce.Do(func() {
+		nodes := make([]*Node, 0, len(g.nodes))
+		for _, n := range g.nodes {
+			nodes = append(nodes, n)
+		}
+		slices.SortFunc(nodes, func(a, b *Node) int { return strings.Compare(a.key, b.key) })
+		alias := map[string][]*Node{}
+		for i, n := range nodes {
+			n.rank = i
+			if bare := bareEntityName(n); bare != n.Name {
+				alias[bare] = append(alias[bare], n)
+			}
+			if base, ok := baseName(n); ok {
+				alias[base] = append(alias[base], n)
+			}
+		}
+		g.ord = order{nodes: nodes, alias: alias}
+	})
+	return &g.ord
+}
+
+// sortNodes orders nodes of g by key, comparing ranks.
+func (g *Graph) sortNodes(ns []*Node) {
+	g.ordered()
+	slices.SortFunc(ns, func(a, b *Node) int { return cmp.Compare(a.rank, b.rank) })
 }
 
 // bareEntityName strips the disambiguating "@file:line" and "#n"
@@ -184,19 +237,18 @@ func bareEntityName(n *Node) string {
 	return name
 }
 
-// matchesBase reports whether spec names the file node by its path
-// base ("matrix.h" for "include/matrix.h").
-func matchesBase(n *Node, spec string) bool {
+// baseName returns the path base of a file node whose name has a
+// directory ("matrix.h" for "include/matrix.h"), the name a spec may
+// use for it.
+func baseName(n *Node) (string, bool) {
 	if n.Kind != KindFile {
-		return false
+		return "", false
 	}
-	name := n.Name
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '/' {
-			return name[i+1:] == spec
-		}
+	i := strings.LastIndexByte(n.Name, '/')
+	if i < 0 {
+		return "", false
 	}
-	return false
+	return n.Name[i+1:], true
 }
 
 // --- construction -----------------------------------------------------------
@@ -305,16 +357,18 @@ func locSuffix(l ductape.Location) string {
 }
 
 func (g *Graph) addNode(kind Kind, name string) *Node {
-	n := &Node{Kind: kind, Name: name}
-	if _, taken := g.nodes[n.Key()]; taken {
+	key := string(kind) + ":" + name
+	if _, taken := g.nodes[key]; taken {
 		for i := 2; ; i++ {
-			n.Name = fmt.Sprintf("%s#%d", name, i)
-			if _, taken := g.nodes[n.Key()]; !taken {
+			key = fmt.Sprintf("%s:%s#%d", kind, name, i)
+			if _, taken := g.nodes[key]; !taken {
 				break
 			}
 		}
 	}
-	g.nodes[n.Key()] = n
+	// Name shares the key's bytes.
+	n := &Node{Kind: kind, Name: key[len(kind)+1:], key: key}
+	g.nodes[key] = n
 	return n
 }
 
@@ -355,8 +409,4 @@ func (g *Graph) NodeFor(obj any) *Node {
 		return g.templateNode[v]
 	}
 	return nil
-}
-
-func sortNodes(ns []*Node) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i].Key() < ns[j].Key() })
 }

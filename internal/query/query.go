@@ -1,6 +1,9 @@
 package query
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Deps returns every node the start nodes transitively depend on —
 // the forward closure over outgoing edges, excluding the start nodes
@@ -54,30 +57,31 @@ func (g *Graph) SomePath(from, to *Node) []Edge {
 	type hop struct {
 		prev *Node
 		via  EdgeKind
+		seen bool
 	}
-	visited := map[*Node]hop{from: {}}
+	visited := make([]hop, len(g.ordered().nodes))
+	visited[from.rank].seen = true
 	frontier := []*Node{from}
-	for len(frontier) > 0 && visited[to] == (hop{}) {
+	for len(frontier) > 0 && !visited[to.rank].seen {
 		var next []*Node
 		for _, n := range frontier {
 			for _, e := range sortedEdges(n.out) {
-				if _, seen := visited[e.to]; seen {
+				if visited[e.to.rank].seen {
 					continue
 				}
-				visited[e.to] = hop{prev: n, via: e.kind}
+				visited[e.to.rank] = hop{prev: n, via: e.kind, seen: true}
 				next = append(next, e.to)
 			}
 		}
-		sortNodes(next)
+		g.sortNodes(next)
 		frontier = next
 	}
-	end, ok := visited[to]
-	if !ok || end.prev == nil {
+	if !visited[to.rank].seen {
 		return nil
 	}
 	var rev []Edge
 	for n := to; n != from; {
-		h := visited[n]
+		h := visited[n.rank]
 		rev = append(rev, Edge{Kind: h.via, From: h.prev.Key(), To: n.Key()})
 		n = h.prev
 	}
@@ -91,10 +95,10 @@ func (g *Graph) SomePath(from, to *Node) []Edge {
 // closure walks BFS over next(n), excluding the start set from the
 // result, bounded by maxDepth levels.
 func (g *Graph) closure(start []*Node, maxDepth int, next func(*Node) []edge) []*Node {
-	seen := map[*Node]bool{}
+	seen := make([]bool, len(g.ordered().nodes))
 	for _, n := range start {
 		if n != nil {
-			seen[n] = true
+			seen[n.rank] = true
 		}
 	}
 	frontier := append([]*Node(nil), start...)
@@ -106,29 +110,29 @@ func (g *Graph) closure(start []*Node, maxDepth int, next func(*Node) []edge) []
 				continue
 			}
 			for _, e := range next(n) {
-				if seen[e.to] {
+				if seen[e.to.rank] {
 					continue
 				}
-				seen[e.to] = true
+				seen[e.to.rank] = true
 				out = append(out, e.to)
 				nf = append(nf, e.to)
 			}
 		}
 		frontier = nf
 	}
-	sortNodes(out)
+	g.sortNodes(out)
 	return out
 }
 
 // sortedEdges orders edges by target key (then edge kind), for
-// deterministic traversal.
+// deterministic traversal. The caller has built the key order.
 func sortedEdges(es []edge) []edge {
-	out := append([]edge(nil), es...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].to.Key() != out[j].to.Key() {
-			return out[i].to.Key() < out[j].to.Key()
+	out := slices.Clone(es)
+	slices.SortFunc(out, func(a, b edge) int {
+		if c := cmp.Compare(a.to.rank, b.to.rank); c != 0 {
+			return c
 		}
-		return out[i].kind < out[j].kind
+		return cmp.Compare(a.kind, b.kind)
 	})
 	return out
 }
